@@ -146,8 +146,6 @@ def _run_matchings(ns, rng, tol, expensive, processes):
     counts_ok = True
     detail = []
     for n in ns:
-        if n > 5:
-            continue
         two_n = 2 * n
         got = sum(1 for _ in enumerate_pfaff(two_n))
         counts_ok &= got == matching_count(two_n)
@@ -173,8 +171,6 @@ def _run_matchings(ns, rng, tol, expensive, processes):
 def _run_theorem1(ns, rng, tol, expensive, processes):
     reports = []
     for n in ns:
-        if n > 4:
-            continue
         two_n = 2 * n
         if n <= 3:
             rep = symmetry_group(
@@ -198,8 +194,6 @@ def _run_theorem1(ns, rng, tol, expensive, processes):
 def _run_dihedral_invariance(ns, rng, tol, expensive, processes):
     reports = []
     for n in ns:
-        if n > 5:
-            continue
         two_n = 2 * n
         pf = generic_pfaffian(two_n)
         bad = [d for d in dihedral_group(two_n) if act(d, pf, SYMMETRIC_GENS) != pf]
@@ -215,8 +209,6 @@ def _run_dihedral_invariance(ns, rng, tol, expensive, processes):
 def _run_ssym_skew(ns, rng, tol, expensive, processes):
     reports = []
     for n in ns:
-        if n > 3:
-            continue
         two_n = 2 * n
         pf = generic_pfaffian(two_n)
         ok = all(
@@ -235,8 +227,6 @@ def _run_ssym_skew(ns, rng, tol, expensive, processes):
 def _run_theorem2(ns, rng, tol, expensive, processes):
     reports = []
     for n in ns:
-        if not 2 <= n <= 4:
-            continue
         two_n = 2 * n
         xs = position_polys(two_n)
         sub = [verify_theorem2(SQUARE_DIFF, xs, s) for s in range(1, two_n + 1)]
@@ -263,19 +253,12 @@ def _run_theorem2(ns, rng, tol, expensive, processes):
 
 def _run_theorem3(ns, rng, tol, expensive, processes):
     symbolic_top = 4 if expensive else 3
-    reports = []
-    for n in ns:
-        if n > 8:
-            continue
-        reports.append(verify_theorem3(n, include_symbolic=n <= symbolic_top))
-    return reports
+    return [verify_theorem3(n, include_symbolic=n <= symbolic_top) for n in ns]
 
 
 def _run_theorem4(ns, rng, tol, expensive, processes):
     reports = []
     for n in ns:
-        if n > 8:
-            continue
         n_tol = tol if tol is not None else (1e-12 if n <= 5 else 1e-10)
         worst = 0.0
         ok = True
@@ -305,19 +288,18 @@ def _run_g_symmetry(ns, rng, tol, expensive, processes):
                     f"order {rep.order}", f"dihedral subgroup, order {4 * n}",
                 )
             )
-        if 2 <= n <= 4:
-            two_n = 2 * n
-            members = {p.images for p in dihedral_group(two_n)}
-            ok = all(
-                classify_runs(p).is_dihedral == (p.images in members)
-                for p in enumerate_sym(two_n, cap=max(9, two_n))
+        two_n = 2 * n
+        members = {p.images for p in dihedral_group(two_n)}
+        ok = all(
+            classify_runs(p).is_dihedral == (p.images in members)
+            for p in enumerate_sym(two_n, cap=max(9, two_n))
+        )
+        reports.append(
+            VerificationReport(
+                "g-symmetry", n, "run-classifier", ok, 0.0,
+                "run shapes", "subgroup membership",
             )
-            reports.append(
-                VerificationReport(
-                    "g-symmetry", n, "run-classifier", ok, 0.0,
-                    "run shapes", "subgroup membership",
-                )
-            )
+        )
     return reports
 
 
@@ -394,8 +376,6 @@ def _random_fraction(rng) -> Fraction:
 def _run_hook_oracle(ns, rng, tol, expensive, processes):
     reports = []
     for n in ns:
-        if not 2 <= n <= 4:
-            continue
         two_n = 2 * n
         ok = True
         for mode, expand in ((SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)):
@@ -418,8 +398,6 @@ def _run_hook_oracle(ns, rng, tol, expensive, processes):
 def _run_skew_det(ns, rng, tol, expensive, processes):
     reports = []
     for n in ns:
-        if n > 3:
-            continue
         two_n = 2 * n
         ok = True
         for _ in range(50):
@@ -437,20 +415,22 @@ def _run_skew_det(ns, rng, tol, expensive, processes):
     return reports
 
 
+# name -> (runner, default n list, supported n range (lo, hi)); hi None is
+# unbounded, and a range of None marks a check that does not take n
 CHECKS = {
-    "matchings": (_run_matchings, [1, 2, 3, 4, 5]),
-    "theorem1": (_run_theorem1, [1, 2, 3]),
-    "dihedral-invariance": (_run_dihedral_invariance, [1, 2, 3, 4]),
-    "ssym-skew": (_run_ssym_skew, [1, 2, 3]),
-    "theorem2": (_run_theorem2, [2, 3]),
-    "theorem3": (_run_theorem3, [1, 2, 3, 4, 5]),
-    "theorem4": (_run_theorem4, [1, 2, 3, 4, 5, 6, 7]),
-    "g-symmetry": (_run_g_symmetry, [2, 3, 4]),
-    "trig1": (_run_trig1, [None]),
-    "trig2": (_run_trig2, [None]),
-    "det-examples": (_run_det_examples, [None]),
-    "hook-oracle": (_run_hook_oracle, [2, 3, 4]),
-    "skew-det": (_run_skew_det, [1, 2, 3]),
+    "matchings": (_run_matchings, [1, 2, 3, 4, 5], (1, 5)),
+    "theorem1": (_run_theorem1, [1, 2, 3], (1, 4)),
+    "dihedral-invariance": (_run_dihedral_invariance, [1, 2, 3, 4], (1, 5)),
+    "ssym-skew": (_run_ssym_skew, [1, 2, 3], (1, 3)),
+    "theorem2": (_run_theorem2, [2, 3], (2, 4)),
+    "theorem3": (_run_theorem3, [1, 2, 3, 4, 5], (1, None)),
+    "theorem4": (_run_theorem4, [1, 2, 3, 4, 5, 6, 7], (1, None)),
+    "g-symmetry": (_run_g_symmetry, [2, 3, 4], (2, 4)),
+    "trig1": (_run_trig1, [None], None),
+    "trig2": (_run_trig2, [None], None),
+    "det-examples": (_run_det_examples, [None], None),
+    "hook-oracle": (_run_hook_oracle, [2, 3, 4], (2, 4)),
+    "skew-det": (_run_skew_det, [1, 2, 3], (1, 3)),
 }
 
 _EXPENSIVE_EXTRA = {"theorem1": [4]}
@@ -461,29 +441,52 @@ def _parse_n_range(text: str) -> list[int]:
         if ".." in text:
             lo, hi = text.split("..")
             lo, hi = int(lo), int(hi)
-            if lo > hi:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        else:
+            lo = hi = int(text)
+        if not 1 <= lo <= hi:
+            raise ValueError
+        return list(range(lo, hi + 1))
     except ValueError:
-        raise ValueError(f"--n expects N or LO..HI, got {text!r}") from None
+        raise ValueError(f"--n expects N or LO..HI with 1 <= LO <= HI, got {text!r}") from None
+
+
+def _verify_plan(names: list[str], explicit: bool, requested, expensive: bool) -> list:
+    """(name, runner, ns) for each check, with ns cut to its supported range.
+
+    A check named on the command line that is left with no n to run is an
+    error; under `all` such a check is skipped.
+    """
+    plan = []
+    for name in names:
+        runner, default_ns, supported = CHECKS[name]
+        ns = requested if requested is not None else list(default_ns)
+        if requested is None and expensive:
+            ns += _EXPENSIVE_EXTRA.get(name, [])
+        if supported is not None:
+            lo, hi = supported
+            ns = [n for n in ns if lo <= n and (hi is None or n <= hi)]
+            if not ns:
+                if explicit:
+                    span = f"{lo}..{hi}" if hi is not None else f">= {lo}"
+                    raise ValueError(f"check {name!r} supports n {span}, none requested")
+                continue
+        plan.append((name, runner, ns))
+    return plan
 
 
 def _cmd_verify(args) -> int:
     names = args.checks or ["all"]
-    if names == ["all"]:
+    explicit = names != ["all"]
+    if not explicit:
         names = list(CHECKS)
     unknown = [c for c in names if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check {unknown[0]!r}; available: {', '.join(CHECKS)}, all")
     requested = _parse_n_range(args.n) if args.n else None
+    plan = _verify_plan(names, explicit, requested, args.expensive)
     processes = os.cpu_count() if args.parallel else None
     all_ok = True
-    for name in names:
-        runner, default_ns = CHECKS[name]
-        ns = requested if requested is not None else list(default_ns)
-        if requested is None and args.expensive:
-            ns += _EXPENSIVE_EXTRA.get(name, [])
+    for name, runner, ns in plan:
         rng = random.Random(f"{args.seed}:{name}")
         for report in _with_seed(runner(ns, rng, args.tol, args.expensive, processes), args.seed):
             all_ok &= report.passed

@@ -147,7 +147,7 @@ def test_criterion_07_closed_form():
         for n, value in expected_values.items():
             assert value == (-2) ** (n - 1) * (2 * n - 1)
             ints = [Fraction(i) for i in range(1, 2 * n + 1)]
-            # direct summation over matchings, exact arithmetic
+            # exact evaluation, independent of the symbolic identity
             assert pfaffian_direct(kernel_array(SQUARE_DIFF, ints)) == value
 
 

@@ -161,6 +161,39 @@ def test_verify_unknown_check_and_bad_range():
     assert code == 2 and "--n" in err
 
 
+def test_verify_named_check_without_runnable_n_is_an_error():
+    for check, n, span in (
+        ("matchings", "6", "1..5"),
+        ("hook-oracle", "5", "2..4"),
+        ("skew-det", "4", "1..3"),
+        ("theorem2", "1", "2..4"),
+    ):
+        code, out, err = invoke("verify", check, "--n", n)
+        assert code == 2 and out == "", check
+        assert check in err and span in err, err
+    code, _, err = invoke("verify", "theorem4", "--n", "0")
+    assert code == 2 and "--n" in err
+
+
+def test_verify_all_skips_checks_outside_their_range():
+    code, out, err = invoke("verify", "all", "--n", "6")
+    assert code == 0 and err == ""
+    assert "FAIL" not in out
+    assert "matchings" not in out and "hook-oracle" not in out
+    assert "PASS theorem3 n=6" in out and "PASS theorem4 n=6" in out
+
+
+def test_verify_pfaffian_checks_past_the_enumeration_cap():
+    code, out, _ = invoke("verify", "theorem4", "--n", "9")
+    assert code == 0 and out.startswith("PASS theorem4 n=9")
+    code, out, _ = invoke("verify", "theorem3", "--n", "9")
+    assert code == 0 and out.startswith("PASS theorem3 n=9")
+    code, out, _ = invoke("verify", "theorem4", "--n", "20")
+    assert code == 0 and out.startswith("PASS theorem4 n=20")
+    code, out, _ = invoke("verify", "theorem3", "--n", "16")
+    assert code == 0 and out.startswith("PASS theorem3 n=16")
+
+
 def test_verify_json_is_schema_stable():
     code, out, _ = invoke("verify", "theorem3", "--n", "1..2", "--format", "json")
     assert code == 0

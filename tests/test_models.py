@@ -176,7 +176,7 @@ def test_theorem4_random_sweep(rng):
 
 def test_theorem4_validation():
     with pytest.raises(ValueError):
-        verify_theorem4(9, [0.0] * 18)
+        verify_theorem4(0, [])
     with pytest.raises(ValueError):
         verify_theorem4(2, [0.0] * 3)
 
