@@ -15,7 +15,6 @@ is capped (`matching_cap`).
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -180,83 +179,68 @@ def pfaffian_direct(arr: TriangularArray):
     Only upper entries appear, so every mode gives the pfaffian of the
     skew completion.  Arrays of ints, Fractions and floats are evaluated
     by pivoted skew elimination (`_pf_eliminate`), in floats if any entry
-    is a float and exactly otherwise; the result is a float, an int (all
-    entries ints) or a Fraction.  Any other scalar, such as Poly, takes
-    the sum over all perfect matchings, which the enumeration cap limits.
+    is a float and in Fractions otherwise; the result is a float, an int
+    (all entries ints) or a Fraction.  Any other scalar, such as Poly,
+    takes the sum over all perfect matchings, which the enumeration cap
+    limits.
     """
     if arr.two_n == 0:
         return 1
-    kinds = {type(v) for v in arr.entries.values()}
-    if not kinds <= {int, Fraction, float}:
+    values = arr.entries.values()
+    if any(isinstance(v, bool) or not isinstance(v, (int, Fraction, float)) for v in values):
         return _pfaffian_sum(arr)
-    if float in kinds:
-        return _pf_eliminate(arr, exact=False)
-    value = _pf_eliminate(arr, exact=True)
-    return int(value) if kinds == {int} else value
+    if any(isinstance(v, float) for v in values):
+        return _pf_eliminate(arr, float)
+    value = _pf_eliminate(arr, Fraction)
+    return int(value) if all(isinstance(v, int) for v in values) else value
 
 
-def _pf_eliminate(arr: TriangularArray, exact: bool):
+def _pf_eliminate(arr: TriangularArray, cast):
     """Pfaffian of the skew completion by pivoted Schur elimination.
 
-    Parlett & Reid, BIT 10 (1970); Wimmer, ACM TOMS 38(4) (2012).  Each
-    step eliminates the leading two rows and columns.  The pivot column
-    is swapped into position 1 (a swap flips the sign) and p = a[0][1]
-    becomes a factor of the result; with u, v the rows 0 and 1, the
-    trailing block then takes the Schur complement update
-    a[i][j] += (v[i]*u[j] - u[i]*v[j]) / p.  The update is skew, so
-    applying it to the whole block keeps a[j][i] = -a[i][j].
-
-    Floats pivot on the entry of largest magnitude.  Exact arrays pivot on
-    the first nonzero entry and run fraction-free (Galbiati & Maffioli,
-    Discrete Appl. Math. 51, 1994): the entries are scaled to integers,
-    and each step multiplies the update by p and divides it exactly by the
-    previous pivot, so every entry stays the integer pfaffian of a minor
-    and the last pivot is the pfaffian.  The exact result is a Fraction.
+    Parlett & Reid, BIT 10 (1970); Wimmer, ACM TOMS 38(4) (2012).  The
+    entries are cast to `cast` (float or Fraction).  Each step eliminates
+    the leading two rows and columns.  The pivot column is swapped into
+    position 1 (a swap flips the sign) and p = a[0][1] becomes a factor
+    of the result; with u, v the rows 0 and 1, the trailing block then
+    takes the Schur complement update a[i][j] += (v[i]*u[j] - u[i]*v[j]) / p.
+    The update is skew, so it is computed above the diagonal and mirrored.
+    Floats pivot on the entry of largest magnitude, Fractions on the first
+    nonzero entry.
     """
     size = arr.two_n
-    values = arr.entries.values()
-    if exact:
-        scale = math.lcm(*(v.denominator for v in values))
-        cast = lambda v: v.numerator * (scale // v.denominator)
-    else:
-        cast = float
     a = [[0] * size for _ in range(size)]
     for (i, j), v in arr.entries.items():
         w = cast(v)
         a[i - 1][j - 1] = w
         a[j - 1][i - 1] = -w
-    sign, prev, product = 1, 1, 1.0
+    result = cast(1)
     while a:
         row = a[0]
-        if exact:
-            piv = next((j for j in range(1, len(row)) if row[j] != 0), None)
-        else:
+        if cast is float:
             piv = max(range(1, len(row)), key=lambda j: abs(row[j]))
-        if piv is None or row[piv] == 0:
-            return Fraction(0) if exact else 0.0
+        else:
+            piv = next((j for j in range(1, len(row)) if row[j] != 0), 1)
+        p = row[piv]
+        if p == 0:
+            return cast(0)
         if piv != 1:
             a[1], a[piv] = a[piv], a[1]
             for r in a:
                 r[1], r[piv] = r[piv], r[1]
-            sign = -sign
-        p = row[1]
-        u, v = row[2:], a[1][2:]
-        if exact:
-            a = [
-                [(p * x + vi * uj - ui * vj) // prev for x, uj, vj in zip(r[2:], u, v)]
-                for r, ui, vi in zip(a[2:], u, v)
-            ]
-            prev = p
-        else:
-            product *= p
-            u = [x / p for x in u]
-            a = [
-                [x + vi * uj - ui * vj for x, uj, vj in zip(r[2:], u, v)]
-                for r, ui, vi in zip(a[2:], u, v)
-            ]
-    if exact:
-        return Fraction(sign * prev, scale ** (size // 2))
-    return sign * product
+            result = -result
+        result *= p
+        u = [x / p for x in row[2:]]
+        v = a[1][2:]
+        m = len(u)
+        b = [[0] * m for _ in range(m)]
+        for i, (ui, vi, r) in enumerate(zip(u, v, a[2:])):
+            for j in range(i + 1, m):
+                w = r[j + 2] + vi * u[j] - ui * v[j]
+                b[i][j] = w
+                b[j][i] = -w
+        a = b
+    return result
 
 
 def _pfaffian_sum(arr: TriangularArray):

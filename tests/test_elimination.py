@@ -54,6 +54,15 @@ def test_exact_elimination_equals_matching_sum(rng):
                 assert type(got) is type(want), (two_n, mode, type(got), type(want))
 
 
+def test_exact_elimination_with_large_distinct_denominators(rng):
+    def big():
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+    for two_n in range(2, 11, 2):
+        arr = _array(two_n, SKEW, lambda i, j: big())
+        assert pfaffian_direct(arr) == _pfaffian_sum(arr), two_n
+
+
 def test_singular_and_zero_row_arrays_vanish(rng):
     for two_n in (4, 6, 8):
         for arr in _exact_cases(rng, two_n, SKEW)[-2:]:
@@ -132,8 +141,12 @@ def test_elimination_enumerates_no_matchings_and_ignores_the_cap(monkeypatch, rn
 
     monkeypatch.setattr(pfaffian_module, "enumerate_pfaff", refuse)
     monkeypatch.setenv("PF_CAP", "4")
+    class Double(float):
+        pass
+
     for two_n in (6, 18):
         assert isinstance(pfaffian_direct(_array(two_n, SKEW, lambda i, j: rng.uniform(-1, 1))), float)
+        assert isinstance(pfaffian_direct(_array(two_n, SKEW, lambda i, j: Double(rng.uniform(-1, 1)))), float)
         assert isinstance(pfaffian_direct(_array(two_n, SKEW, lambda i, j: random_fraction(rng))), Fraction)
 
 
