@@ -3,7 +3,6 @@ determinant companions, and brute-force symmetry groups of the pfaffian
 polynomial under symmetric or skew generator conventions.
 """
 
-from .backend import backend_name
 from .matchings import PfaffPermutation, enumerate_pfaff, matching_count, matching_sign
 from .models import (
     COSINE,

@@ -270,16 +270,17 @@ def generic_pfaffian(two_n: int) -> Poly:
     return Poly(terms)
 
 
-def _subset_pf(arr: TriangularArray, live: tuple[int, ...], memo: dict | None):
+def _subset_pf(arr: TriangularArray, live: tuple[int, ...], memo: dict):
     """Pfaffian of the sub-array on the (sorted) index subset `live`.
 
     Expands along the first live hook; relative positions within `live`
     play the role of indices in the relabeled sub-array.  Uses only upper
-    entries, so it is valid in every mode.
+    entries, so it is valid in every mode.  `memo` caches each subset's
+    pfaffian across the calls of one hook expansion.
     """
     if not live:
         return 1
-    if memo is not None and live in memo:
+    if live in memo:
         return memo[live]
     entries = arr.entries
     i = live[0]
@@ -290,18 +291,17 @@ def _subset_pf(arr: TriangularArray, live: tuple[int, ...], memo: dict | None):
         if t % 2 == 0:
             term = -term
         total = term if total is None else total + term
-    if memo is not None:
-        memo[live] = total
+    memo[live] = total
     return total
 
 
-def hook_expand_symmetric(arr: TriangularArray, s: int, memoize: bool = False):
+def hook_expand_symmetric(arr: TriangularArray, s: int):
     """Expansion along hook s for symmetric completion: no Heaviside sign."""
     if arr.mode != SYMMETRIC:
         raise ValueError(f"symmetric hook expansion needs a symmetric array, got mode {arr.mode!r}")
     if not 1 <= s <= arr.two_n:
         raise IndexError(f"hook {s} outside 1..{arr.two_n}")
-    memo = {} if memoize else None
+    memo: dict = {}
     live = tuple(range(1, arr.two_n + 1))
     total = None
     for j in live:
@@ -315,13 +315,13 @@ def hook_expand_symmetric(arr: TriangularArray, s: int, memoize: bool = False):
     return total
 
 
-def hook_expand_skew(arr: TriangularArray, s: int, memoize: bool = False):
+def hook_expand_skew(arr: TriangularArray, s: int):
     """Expansion along hook s for skew completion, with the Heaviside sign."""
     if arr.mode != SKEW:
         raise ValueError(f"skew hook expansion needs a skew array, got mode {arr.mode!r}")
     if not 1 <= s <= arr.two_n:
         raise IndexError(f"hook {s} outside 1..{arr.two_n}")
-    memo = {} if memoize else None
+    memo: dict = {}
     live = tuple(range(1, arr.two_n + 1))
     total = None
     for j in live:

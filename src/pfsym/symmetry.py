@@ -22,7 +22,7 @@ from .permutations import (
     generate_subgroup,
     identity,
 )
-from .polyring import Poly, _raw, _var_key, pos, x
+from .polyring import Poly, _raw, _var_key
 
 SYMMETRIC_GENS = "symmetric"
 SKEW_GENS = "skew"
@@ -189,9 +189,9 @@ def pfaffian_symmetry_group(
     """Brute-force symmetry group of the generic pfaffian of order two_n.
 
     Same scan as symmetry_group(generic_pfaffian(two_n), ...) but the
-    per-permutation test runs on the backend's matching-level classifier
-    instead of polynomial arithmetic; the two routes are cross-checked
-    exhaustively in the test suite.
+    per-permutation test is the matching-level classifier
+    `backend.classify_pf_action` instead of polynomial arithmetic; the
+    two routes are cross-checked exhaustively in the test suite.
     """
     if mode not in ACTION_MODES:
         raise ValueError(f"mode must be one of {ACTION_MODES}, got {mode!r}")
@@ -219,19 +219,10 @@ def is_dihedral(report: GroupReport, two_n: int) -> bool:
 def sym_of_g(two_n: int, cap: int = BRUTE_FORCE_CAP) -> GroupReport:
     """Brute-force symmetry group of the cycle product g.
 
-    Uses the substitution x_i -> x_{sigma(i)}; the fixed set it produces
-    is the same subgroup the a(i,j) action would give, since a subgroup
-    contains an element iff it contains its inverse.
+    The positions x_i are relabeled by the same action as the generators,
+    so this is symmetry_group(g_poly(two_n), two_n, SYMMETRIC_GENS).
     """
-    if two_n > cap:
-        raise ValueError(f"two_n={two_n} exceeds the brute-force cap {cap}")
-    g = g_poly(two_n)
-    members = []
-    for p in enumerate_sym(two_n, cap=max(cap, two_n)):
-        substitution = {pos(k): x(p(k)) for k in range(1, two_n + 1)}
-        if g.substitute(substitution) == g:
-            members.append(p)
-    return make_group_report(members, two_n)
+    return symmetry_group(g_poly(two_n), two_n, SYMMETRIC_GENS, cap=cap)
 
 
 def dihedral_group(two_n: int) -> list[Permutation]:

@@ -1,36 +1,21 @@
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-from pfsym import _pure, backend
+from pfsym import backend
 from pfsym.pfaffian import SYMMETRIC, TriangularArray, _pfaffian_sum, pfaffian_direct, upper_pairs
-from pfsym.permutations import Permutation, enumerate_sym
-
-try:
-    from pfsym import _native
-except ImportError:
-    _native = None
-
-BACKENDS = [_pure] + ([_native] if _native is not None else [])
-
-
-def _random_packed(rng, two_n):
-    return [rng.uniform(-2.0, 2.0) for _ in range(two_n * (two_n - 1) // 2)]
+from pfsym.permutations import Permutation, dihedral_generators, generate_subgroup
 
 
 def test_pf_double_empty_and_validation():
-    for impl in BACKENDS:
-        assert impl.pf_double(0, []) == 1.0
-        with pytest.raises(ValueError):
-            impl.pf_double(3, [0.0] * 3)
-        with pytest.raises(ValueError):
-            impl.pf_double(4, [0.0] * 5)
-        with pytest.raises(ValueError):
-            impl.pf_double(18, [0.0] * 153)
+    assert backend.pf_double(0, []) == 1.0
+    with pytest.raises(ValueError):
+        backend.pf_double(3, [0.0] * 3)
+    with pytest.raises(ValueError):
+        backend.pf_double(4, [0.0] * 5)
+    with pytest.raises(ValueError):
+        backend.pf_double(18, [0.0] * 153)
 
 
 def test_pf_double_matches_exact_sum(rng):
@@ -38,52 +23,36 @@ def test_pf_double_matches_exact_sum(rng):
         entries = {p: Fraction(rng.randint(-40, 40), rng.randint(1, 8)) for p in upper_pairs(two_n)}
         exact = float(_pfaffian_sum(TriangularArray(two_n, SYMMETRIC, entries)))
         packed = [float(entries[p]) for p in upper_pairs(two_n)]
-        for impl in BACKENDS:
-            got = impl.pf_double(two_n, packed)
-            assert math.isclose(got, exact, rel_tol=1e-10, abs_tol=1e-9), (impl.__name__, two_n)
-
-
-def test_backends_agree_with_each_other(rng):
-    if _native is None:
-        pytest.skip("compiled backend not built")
-    for two_n in (4, 6, 8, 10, 12):
-        packed = _random_packed(rng, two_n)
-        assert math.isclose(
-            _native.pf_double(two_n, packed),
-            _pure.pf_double(two_n, packed),
-            rel_tol=1e-11,
-            abs_tol=1e-11,
-        )
+        got = backend.pf_double(two_n, packed)
+        assert math.isclose(got, exact, rel_tol=1e-10, abs_tol=1e-9), two_n
 
 
 def test_pure_recursion_path_matches_table_path(rng):
     # 2n = 14 exceeds the table limit and exercises the recursive fallback
-    packed = _random_packed(rng, 14)
-    rec = _pure.pf_double(14, packed)
-    if _native is not None:
-        assert math.isclose(rec, _native.pf_double(14, packed), rel_tol=1e-10, abs_tol=1e-10)
-    assert _pure.TABLE_MAX < 14
+    assert backend.TABLE_MAX < 14
+    entries = {p: rng.uniform(-2.0, 2.0) for p in upper_pairs(14)}
+    rec = backend.pf_double(14, [entries[p] for p in upper_pairs(14)])
+    direct = pfaffian_direct(TriangularArray(14, SYMMETRIC, entries))
+    assert math.isclose(rec, direct, rel_tol=1e-10, abs_tol=1e-10)
 
 
-def test_classifier_backends_agree(rng):
-    for two_n in (4, 6):
-        for p in enumerate_sym(two_n):
-            inv0 = [v - 1 for v in p.inverse().images]
-            for skew in (False, True):
-                expected = _pure.classify_pf_action(two_n, inv0, skew)
-                assert backend.classify_pf_action(two_n, p, skew) == expected
-                if _native is not None:
-                    assert _native.classify_pf_action(two_n, inv0, skew) == expected
+def test_classifier_closed_forms_at_eight(rng):
+    # past the exhaustive check against the polynomial action (2n <= 6):
+    # the skew action is the sign character, and the symmetric action
+    # fixes exactly the dihedral subgroup
+    dihedral = {p.images for p in generate_subgroup(list(dihedral_generators(8)))}
+    perms = [Permutation(images) for images in sorted(dihedral)]
+    perms += [Permutation(rng.sample(range(1, 9), 8)) for _ in range(60)]
+    for p in perms:
+        assert backend.classify_pf_action(8, p, True) == p.sign
+        assert (backend.classify_pf_action(8, p, False) == 1) == (p.images in dihedral)
 
 
 def test_classifier_validation():
-    for impl in BACKENDS:
-        with pytest.raises(ValueError):
-            impl.classify_pf_action(4, [0, 1, 2], False)
-        with pytest.raises(ValueError):
-            impl.classify_pf_action(4, [0, 1, 2, 2], False)
-        with pytest.raises(ValueError):
-            impl.classify_pf_action(3, [0, 1, 2], False)
+    with pytest.raises(ValueError):
+        backend.classify_pf_action(3, Permutation([1, 2, 3]), False)
+    with pytest.raises(ValueError):
+        backend.classify_pf_action(14, Permutation(list(range(1, 15))), False)
     with pytest.raises(ValueError):
         backend.classify_pf_action(6, Permutation([1, 2, 3, 4]), False)
 
@@ -91,32 +60,3 @@ def test_classifier_validation():
 def test_dispatch_coerces_inputs():
     got = backend.pf_double(2, [Fraction(3, 2)])
     assert got == 1.5
-
-
-def _run_with_env(value: str):
-    env = dict(os.environ)
-    env["PFSYM_BACKEND"] = value
-    return subprocess.run(
-        [sys.executable, "-c", "import pfsym; print(pfsym.backend_name())"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-def test_backend_env_selection():
-    out = _run_with_env("python")
-    assert out.returncode == 0 and out.stdout.strip() == "python"
-    out = _run_with_env("auto")
-    assert out.returncode == 0 and out.stdout.strip() in ("python", "native")
-    out = _run_with_env("bogus")
-    assert out.returncode != 0
-    if _native is not None:
-        out = _run_with_env("native")
-        assert out.returncode == 0 and out.stdout.strip() == "native"
-
-
-def test_float_pfaffian_uses_active_backend(rng):
-    arr = TriangularArray(6, SYMMETRIC, {p: rng.uniform(-1, 1) for p in upper_pairs(6)})
-    direct = pfaffian_direct(arr)
-    assert math.isclose(direct, _pfaffian_sum(arr), rel_tol=1e-12, abs_tol=1e-12)

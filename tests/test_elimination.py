@@ -1,7 +1,7 @@
 """Pivoted skew elimination behind `pfaffian_direct`, against its oracles.
 
 The exact route must equal the matching sum `_pfaffian_sum` bit for bit,
-the float route must agree with the pure-Python double kernel, and both
+the float route must agree with the matching-sum double kernel, and both
 must satisfy the pfaffian's identities at sizes past the enumeration cap.
 """
 import math
@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_fraction
-from pfsym import _pure
+from pfsym import backend
 from pfsym import pfaffian as pfaffian_module
 from pfsym.models import COSINE, SQUARE_DIFF, kernel_array
 from pfsym.pfaffian import MODES, SKEW, TriangularArray, _pfaffian_sum, pfaffian_direct, upper_pairs
@@ -83,7 +83,7 @@ def test_float_elimination_matches_double_kernel(rng):
                 packed = [arr.entries[p] for p in upper_pairs(two_n)]
                 got = pfaffian_direct(arr)
                 assert isinstance(got, float)
-                want = _pure.pf_double(two_n, packed)
+                want = backend.pf_double(two_n, packed)
                 assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-10), (two_n, mode, got, want)
 
 
