@@ -106,8 +106,9 @@ def _cmd_det(args) -> int:
 def _cmd_sym(args) -> int:
     if (args.pfaffian is None) == (args.poly_file is None):
         raise ValueError("sym needs exactly one of --pfaffian TWO_N or a polynomial file")
-    processes = os.cpu_count() if args.parallel else None
     if args.pfaffian is not None:
+        if args.m is not None:
+            raise ValueError("--m applies to a polynomial file; --pfaffian TWO_N acts in S_TWO_N")
         m = args.pfaffian
         report = pfaffian_symmetry_group(m, args.gens, signed=args.signed)
     else:
@@ -115,7 +116,7 @@ def _cmd_sym(args) -> int:
             raise ValueError("--m is required with a polynomial file")
         m = args.m
         poly = Poly.from_json_obj(_load_json(args.poly_file))
-        report = symmetry_group(poly, m, args.gens, signed=args.signed, processes=processes)
+        report = symmetry_group(poly, m, args.gens, signed=args.signed)
     obj = report.to_json_obj()
     obj.update({"m": m, "gens": args.gens, "signed": args.signed})
     if not args.elements:
@@ -142,7 +143,7 @@ def _with_seed(reports: list[VerificationReport], seed) -> list[VerificationRepo
     ]
 
 
-def _run_matchings(ns, rng, tol, expensive, processes):
+def _run_matchings(ns, rng, tol):
     counts_ok = True
     detail = []
     for n in ns:
@@ -155,7 +156,7 @@ def _run_matchings(ns, rng, tol, expensive, processes):
         if two_n <= 8:
             canon = {m.flatten() for m, _ in enumerate_pfaff(two_n)}
             brute = set()
-            for p in enumerate_sym(two_n, cap=max(9, two_n)):
+            for p in enumerate_sym(two_n):
                 pairs = [(p.images[2 * k], p.images[2 * k + 1]) for k in range(n)]
                 if all(i < j for i, j in pairs) and all(
                     pairs[k][0] < pairs[k + 1][0] for k in range(n - 1)
@@ -170,16 +171,14 @@ def _run_matchings(ns, rng, tol, expensive, processes):
     ]
 
 
-def _run_theorem1(ns, rng, tol, expensive, processes):
+def _run_theorem1(ns, rng, tol):
     reports = []
     for n in ns:
         if n > 4:
             continue
         two_n = 2 * n
         if n <= 3:
-            rep = symmetry_group(
-                generic_pfaffian(two_n), two_n, SYMMETRIC_GENS, processes=processes
-            )
+            rep = symmetry_group(generic_pfaffian(two_n), two_n, SYMMETRIC_GENS)
             route = "polynomial-action"
         else:
             rep = pfaffian_symmetry_group(two_n, SYMMETRIC_GENS)
@@ -195,7 +194,7 @@ def _run_theorem1(ns, rng, tol, expensive, processes):
     return reports
 
 
-def _run_dihedral_invariance(ns, rng, tol, expensive, processes):
+def _run_dihedral_invariance(ns, rng, tol):
     reports = []
     for n in ns:
         if n > 5:
@@ -212,7 +211,7 @@ def _run_dihedral_invariance(ns, rng, tol, expensive, processes):
     return reports
 
 
-def _run_ssym_skew(ns, rng, tol, expensive, processes):
+def _run_ssym_skew(ns, rng, tol):
     reports = []
     for n in ns:
         if n > 3:
@@ -221,7 +220,7 @@ def _run_ssym_skew(ns, rng, tol, expensive, processes):
         pf = generic_pfaffian(two_n)
         ok = all(
             act(p, pf, SKEW_GENS) == (pf if p.sign == 1 else -pf)
-            for p in enumerate_sym(two_n, cap=max(9, two_n))
+            for p in enumerate_sym(two_n)
         )
         reports.append(
             VerificationReport(
@@ -232,7 +231,7 @@ def _run_ssym_skew(ns, rng, tol, expensive, processes):
     return reports
 
 
-def _run_theorem2(ns, rng, tol, expensive, processes):
+def _run_theorem2(ns, rng, tol):
     reports = []
     for n in ns:
         if not 2 <= n <= 4:
@@ -261,12 +260,11 @@ def _run_theorem2(ns, rng, tol, expensive, processes):
     return reports
 
 
-def _run_theorem3(ns, rng, tol, expensive, processes):
-    symbolic_top = 4 if expensive else 3
-    return [verify_theorem3(n, include_symbolic=n <= symbolic_top) for n in ns]
+def _run_theorem3(ns, rng, tol):
+    return [verify_theorem3(n) for n in ns]
 
 
-def _run_theorem4(ns, rng, tol, expensive, processes):
+def _run_theorem4(ns, rng, tol):
     reports = []
     for n in ns:
         n_tol = tol if tol is not None else (1e-12 if n <= 5 else 1e-10)
@@ -286,7 +284,7 @@ def _run_theorem4(ns, rng, tol, expensive, processes):
     return reports
 
 
-def _run_g_symmetry(ns, rng, tol, expensive, processes):
+def _run_g_symmetry(ns, rng, tol):
     reports = []
     for n in ns:
         if 2 <= n <= 3:
@@ -303,7 +301,7 @@ def _run_g_symmetry(ns, rng, tol, expensive, processes):
             members = {p.images for p in dihedral_group(two_n)}
             ok = all(
                 classify_runs(p).is_dihedral == (p.images in members)
-                for p in enumerate_sym(two_n, cap=max(9, two_n))
+                for p in enumerate_sym(two_n)
             )
             reports.append(
                 VerificationReport(
@@ -314,7 +312,7 @@ def _run_g_symmetry(ns, rng, tol, expensive, processes):
     return reports
 
 
-def _run_trig1(ns, rng, tol, expensive, processes):
+def _run_trig1(ns, rng, tol):
     t = tol if tol is not None else 1e-13
     worst = 0.0
     ok = True
@@ -335,7 +333,7 @@ def _run_trig1(ns, rng, tol, expensive, processes):
     ]
 
 
-def _run_trig2(ns, rng, tol, expensive, processes):
+def _run_trig2(ns, rng, tol):
     t = tol if tol is not None else 1e-12
     worst = 0.0
     ok = True
@@ -358,7 +356,7 @@ def _square_diff_entries(size: int) -> dict:
     return {(i, j): (x(i) - x(j)) ** 2 for i, j in upper_pairs(size)}
 
 
-def _run_det_examples(ns, rng, tol, expensive, processes):
+def _run_det_examples(ns, rng, tol):
     d2 = completed_determinant(2, SYMMETRIC, _square_diff_entries(2))
     d3 = completed_determinant(3, SYMMETRIC, _square_diff_entries(3))
     d4 = completed_determinant(4, SYMMETRIC, _square_diff_entries(4))
@@ -384,7 +382,7 @@ def _random_fraction(rng) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
-def _run_hook_oracle(ns, rng, tol, expensive, processes):
+def _run_hook_oracle(ns, rng, tol):
     reports = []
     for n in ns:
         if not 2 <= n <= 4:
@@ -408,7 +406,7 @@ def _run_hook_oracle(ns, rng, tol, expensive, processes):
     return reports
 
 
-def _run_skew_det(ns, rng, tol, expensive, processes):
+def _run_skew_det(ns, rng, tol):
     reports = []
     for n in ns:
         if n > 3:
@@ -449,8 +447,6 @@ CHECKS = {
     "skew-det": (_run_skew_det, [1, 2, 3], (1, 3)),
 }
 
-_EXPENSIVE_EXTRA = {"theorem1": [4]}
-
 
 def _parse_n_range(text: str) -> list[int]:
     try:
@@ -488,15 +484,12 @@ def _cmd_verify(args) -> int:
     if explicit and requested is not None:
         for name in names:
             _require_runnable_n(name, requested)
-    processes = os.cpu_count() if args.parallel else None
     all_ok = True
     for name in names:
         runner, default_ns, _ = CHECKS[name]
         ns = requested if requested is not None else list(default_ns)
-        if requested is None and args.expensive:
-            ns += _EXPENSIVE_EXTRA.get(name, [])
         rng = random.Random(f"{args.seed}:{name}")
-        for report in _with_seed(runner(ns, rng, args.tol, args.expensive, processes), args.seed):
+        for report in _with_seed(runner(ns, rng, args.tol), args.seed):
             all_ok &= report.passed
             status = "PASS" if report.passed else "FAIL"
             text = f"{status} {report.check}" + (f" n={report.n}" if report.n is not None else "")
@@ -513,8 +506,6 @@ def _cmd_verify(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--parallel", action="store_true", help="use the parallel scan paths")
-    common.add_argument("--expensive", action="store_true", help="include the expensive tiers")
 
     parser = argparse.ArgumentParser(
         prog="pfsym",

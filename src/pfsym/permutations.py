@@ -115,11 +115,32 @@ def dihedral_generators(m: int) -> tuple[Permutation, Permutation]:
     return sigma, tau
 
 
-def generate_subgroup(gens: list[Permutation], size: int | None = None) -> list[Permutation]:
-    """Closure of `gens` under composition, as a lexicographically sorted list.
+def close_right(reached: set, frontier: list, gens: list, inside: set | None = None):
+    """Grow `reached` breadth first from `frontier` by right-multiplying by `gens`.
 
-    Breadth-first closure; the groups handled here are tiny, so clarity
-    beats cleverness.  `size` is only needed when `gens` is empty.
+    Works on image tuples.  With `inside` given, the first new product
+    a o g outside it stops the walk and (a, g) is returned; else None.
+    """
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                b = tuple([a[v - 1] for v in g])
+                if b not in reached:
+                    if inside is not None and b not in inside:
+                        return a, g
+                    reached.add(b)
+                    new.append(b)
+        frontier = new
+    return None
+
+
+def generate_subgroup(gens: list[Permutation], size: int | None = None) -> list[Permutation]:
+    """The subgroup generated by `gens`, as a lexicographically sorted list.
+
+    A breadth-first walk from the identity, right-multiplying by the
+    generators, costs O(|G| * |gens|) compositions.  `size` is only needed
+    when `gens` is empty.
     """
     if gens:
         m = gens[0].size
@@ -129,19 +150,9 @@ def generate_subgroup(gens: list[Permutation], size: int | None = None) -> list[
         m = size
     else:
         raise ValueError("empty generator list needs an explicit size")
-    group = {identity(m)}
-    frontier = [g for g in gens if g not in group]
-    group.update(frontier)
-    while frontier:
-        new = []
-        for g in frontier:
-            for h in list(group):
-                for prod in (compose(g, h), compose(h, g)):
-                    if prod not in group:
-                        group.add(prod)
-                        new.append(prod)
-        frontier = new
-    return sorted(group)
+    group = {identity(m).images}
+    close_right(group, list(group), [g.images for g in gens])
+    return [Permutation(images) for images in sorted(group)]
 
 
 ONE_UP_RUN = "one-up-run"

@@ -9,14 +9,13 @@ f up to their own sign.
 """
 from __future__ import annotations
 
-import multiprocessing
-import random
 from dataclasses import dataclass
 
 from . import backend
 from .models import g_poly
 from .permutations import (
     Permutation,
+    close_right,
     dihedral_generators,
     enumerate_sym,
     generate_subgroup,
@@ -29,8 +28,6 @@ SKEW_GENS = "skew"
 ACTION_MODES = (SYMMETRIC_GENS, SKEW_GENS)
 
 BRUTE_FORCE_CAP = 8
-
-_CLOSURE_FULL_LIMIT = 1000  # above this, closure is spot-checked
 
 
 def act(p: Permutation, poly: Poly, mode: str) -> Poly:
@@ -98,7 +95,12 @@ class GroupReport:
 
 
 def make_group_report(members, m: int) -> GroupReport:
-    """Build a report, verifying closure and comparing against <sigma, tau>."""
+    """Build a report from a symmetry set, certifying exactly that it is a group.
+
+    The set must contain the identity and be closed under composition
+    (`_check_closure`, exact at every size); otherwise RuntimeError.  It is
+    then compared with the dihedral subgroup <sigma, tau> when m is even.
+    """
     elements = tuple(sorted(members))
     images = {p.images for p in elements}
     if identity(m).images not in images:
@@ -107,7 +109,7 @@ def make_group_report(members, m: int) -> GroupReport:
     equals_dihedral: bool | None = None
     witness = None
     if m % 2 == 0 and m >= 2:
-        target = {p.images for p in generate_subgroup(list(dihedral_generators(m)))}
+        target = {p.images for p in dihedral_group(m)}
         equals_dihedral = images == target
         if not equals_dihedral:
             witness = Permutation(min(images.symmetric_difference(target)))
@@ -115,15 +117,23 @@ def make_group_report(members, m: int) -> GroupReport:
 
 
 def _check_closure(images: set[tuple[int, ...]]) -> None:
-    pool = sorted(images)
-    if len(pool) <= _CLOSURE_FULL_LIMIT:
-        pairs = ((a, b) for a in pool for b in pool)
-    else:
-        rng = random.Random(0)
-        pairs = ((rng.choice(pool), rng.choice(pool)) for _ in range(100_000))
-    for a, b in pairs:
-        if tuple(a[v - 1] for v in b) not in images:
-            raise RuntimeError(f"symmetry set is not closed: {a} o {b} escapes")
+    """Raise unless `images`, which holds the identity, is closed under composition.
+
+    Each member not yet reached, in sorted order, becomes a generator, and
+    the reached set grows by right-multiplying by the generators, every
+    product looked up in `images`.  Without an escape the reached set is
+    the group they span and holds every member, so it equals `images`.
+    Each generator at least doubles the reached group: at most log2 |G|.
+    """
+    reached = {tuple(range(1, len(next(iter(images))) + 1))}
+    gens = []
+    for s in sorted(images):
+        if s not in reached:
+            gens.append(s)
+            escape = close_right(reached, list(reached), gens, inside=images)
+            if escape is not None:
+                a, b = escape
+                raise RuntimeError(f"symmetry set is not closed: {a} o {b} escapes")
 
 
 def _is_member(p: Permutation, poly: Poly, mode: str, signed: bool) -> bool:
@@ -133,58 +143,27 @@ def _is_member(p: Permutation, poly: Poly, mode: str, signed: bool) -> bool:
     return image == poly
 
 
-def _scan_chunk(payload):
-    poly_obj, mode, signed, chunk = payload
-    poly = Poly.from_json_obj(poly_obj)
-    return [
-        images
-        for images in chunk
-        if _is_member(Permutation(images), poly, mode, signed)
-    ]
-
-
-def symmetry_group(
-    poly: Poly,
-    m: int,
-    mode: str,
-    signed: bool = False,
-    cap: int = BRUTE_FORCE_CAP,
-    processes: int | None = None,
-) -> GroupReport:
+def symmetry_group(poly: Poly, m: int, mode: str, signed: bool = False) -> GroupReport:
     """Brute-force Sym (signed=False) or SSym (signed=True) of poly in S_m.
 
-    Every permutation of S_m is tested; `processes` > 1 splits the scan
-    across worker processes.  A constant polynomial (zero included) is
-    fixed by everything, so the full S_m comes back — that is the
-    definition doing its job, not an error.
+    Every permutation of S_m, m <= BRUTE_FORCE_CAP, is tested in one
+    serial scan, and `make_group_report` certifies the result exactly.  A
+    constant polynomial (zero included) is fixed by everything, so the
+    full S_m comes back: that is the definition doing its job, not an
+    error.
     """
     if mode not in ACTION_MODES:
         raise ValueError(f"mode must be one of {ACTION_MODES}, got {mode!r}")
-    if m > cap:
-        raise ValueError(f"m={m} exceeds the brute-force cap {cap}")
-    perms = list(enumerate_sym(m, cap=max(cap, m)))
-    if processes and processes > 1:
-        chunks = _split([p.images for p in perms], processes * 4)
-        payloads = [(poly.to_json_obj(), mode, signed, chunk) for chunk in chunks]
-        with multiprocessing.Pool(processes) as pool_:
-            kept = [im for part in pool_.map(_scan_chunk, payloads) for im in part]
-        members = [Permutation(im) for im in kept]
-    else:
-        members = [p for p in perms if _is_member(p, poly, mode, signed)]
+    if m > BRUTE_FORCE_CAP:
+        raise ValueError(f"m={m} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
+    members = [p for p in enumerate_sym(m) if _is_member(p, poly, mode, signed)]
     return make_group_report(members, m)
-
-
-def _split(items: list, parts: int) -> list[list]:
-    parts = max(1, min(parts, len(items)))
-    step = (len(items) + parts - 1) // parts
-    return [items[k : k + step] for k in range(0, len(items), step)]
 
 
 def pfaffian_symmetry_group(
     two_n: int,
     mode: str = SYMMETRIC_GENS,
     signed: bool = False,
-    cap: int = BRUTE_FORCE_CAP,
 ) -> GroupReport:
     """Brute-force symmetry group of the generic pfaffian of order two_n.
 
@@ -195,11 +174,11 @@ def pfaffian_symmetry_group(
     """
     if mode not in ACTION_MODES:
         raise ValueError(f"mode must be one of {ACTION_MODES}, got {mode!r}")
-    if two_n > cap:
-        raise ValueError(f"two_n={two_n} exceeds the brute-force cap {cap}")
+    if two_n > BRUTE_FORCE_CAP:
+        raise ValueError(f"two_n={two_n} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
     skew = mode == SKEW_GENS
     members = []
-    for p in enumerate_sym(two_n, cap=max(cap, two_n)):
+    for p in enumerate_sym(two_n):
         t = backend.classify_pf_action(two_n, p, skew)
         if t == (p.sign if signed else 1):
             members.append(p)
@@ -212,17 +191,17 @@ def is_dihedral(report: GroupReport, two_n: int) -> bool:
         raise ValueError(
             f"report over S_{report.elements[0].size} cannot be compared at two_n={two_n}"
         )
-    target = {p.images for p in generate_subgroup(list(dihedral_generators(two_n)))}
+    target = {p.images for p in dihedral_group(two_n)}
     return {p.images for p in report.elements} == target
 
 
-def sym_of_g(two_n: int, cap: int = BRUTE_FORCE_CAP) -> GroupReport:
+def sym_of_g(two_n: int) -> GroupReport:
     """Brute-force symmetry group of the cycle product g.
 
     The positions x_i are relabeled by the same action as the generators,
     so this is symmetry_group(g_poly(two_n), two_n, SYMMETRIC_GENS).
     """
-    return symmetry_group(g_poly(two_n), two_n, SYMMETRIC_GENS, cap=cap)
+    return symmetry_group(g_poly(two_n), two_n, SYMMETRIC_GENS)
 
 
 def dihedral_group(two_n: int) -> list[Permutation]:

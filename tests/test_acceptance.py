@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The expensive tier
-(order-16 symmetry search, order-8 symbolic closed form) is enabled by
-setting PFSYM_EXPENSIVE=1.
+(the order-16 polynomial symmetry search) is enabled by setting
+PFSYM_EXPENSIVE=1.
 """
 import itertools
 import math
@@ -151,7 +151,6 @@ def test_criterion_07_closed_form():
             assert pfaffian_direct(kernel_array(SQUARE_DIFF, ints)) == value
 
 
-@pytest.mark.skipif(not EXPENSIVE, reason="set PFSYM_EXPENSIVE=1 for the order-8 symbolic identity")
 def test_criterion_07_expensive_symbolic_n4():
     with criterion(7, 300, "squared-difference closed form, symbolic n=4"):
         pf = pfaffian_direct(kernel_array(SQUARE_DIFF, position_polys(8)))

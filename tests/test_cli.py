@@ -129,6 +129,10 @@ def test_sym_poly_file(tmp_path, capsys):
 def test_sym_requires_exactly_one_target():
     code, _, err = invoke("sym")
     assert code == 2 and "exactly one" in err
+    # the built-in pfaffian acts in S_TWO_N, so an --m beside it is refused
+    code, out, err = invoke("sym", "--pfaffian", "4", "--m", "6")
+    assert code == 2 and out == ""
+    assert "--m" in err and "--pfaffian" in err
 
 
 def test_verify_exit_codes():
@@ -149,9 +153,10 @@ def test_verify_all_small_range_exits_zero():
     assert len(out.strip().splitlines()) >= 13
 
 
-def test_verify_parallel_flag():
-    code, out, _ = invoke("verify", "theorem1", "--n", "2", "--parallel")
-    assert code == 0 and "PASS" in out
+def test_verify_theorem3_runs_the_symbolic_half_at_n4():
+    code, out, _ = invoke("verify", "theorem3", "--n", "4")
+    assert code == 0
+    assert out.startswith("PASS theorem3 n=4 [symbolic+rational]")
 
 
 def test_verify_unknown_check_and_bad_range():

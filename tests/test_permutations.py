@@ -130,6 +130,11 @@ def test_generate_subgroup_edges():
     assert len(generate_subgroup([sigma])) == 6
 
 
+def test_generate_subgroup_transposition_and_cycle_give_s6():
+    group = generate_subgroup([P(2, 1, 3, 4, 5, 6), P(2, 3, 4, 5, 6, 1)])
+    assert group == list(enumerate_sym(6))
+
+
 def test_dihedral_subgroup_orders():
     for m in (2, 4, 6, 8):
         group = generate_subgroup(list(dihedral_generators(m)))
