@@ -1,8 +1,9 @@
 """Exact pfaffians of triangular arrays, their hook expansions and
-determinant companions, and brute-force symmetry groups of the pfaffian
-polynomial under symmetric or skew generator conventions.
+determinant companions, and symmetry groups of the pfaffian polynomial
+under symmetric or skew generator conventions.
 """
 
+from . import backend  # noqa: F401  (perfbench finds its traced backend.* layers in sys.modules)
 from .matchings import PfaffPermutation, enumerate_pfaff, matching_count, matching_sign
 from .models import (
     COSINE,

@@ -1,9 +1,12 @@
-"""Matching-level kernels: the pfaffian action classifier and a float
-pfaffian by the matching sum.
+"""Matching-level test oracles: the pfaffian action classifier and a
+float pfaffian by the matching sum.
 
-`classify_pf_action` is the per-permutation test of
-`pfaffian_symmetry_group`.  `pf_double` no longer serves evaluation
-(`pfaffian_direct` eliminates) and is kept as a float test oracle.
+`classify_pf_action` applies the definition of the action to every
+matching.  It is on no search path: `pfaffian_symmetry_group` uses the
+cut criterion for symmetric generators and the sign character for skew
+ones, and the test suite checks both against a scan of all of S_m with
+this classifier.  `pf_double` no longer serves evaluation (`pfaffian_direct`
+eliminates) and is kept as a float test oracle.
 """
 from __future__ import annotations
 

@@ -174,7 +174,7 @@ def _run_matchings(ns, rng, tol):
 def _run_theorem1(ns, rng, tol):
     reports = []
     for n in ns:
-        if n > 4:
+        if n > 16:
             continue
         two_n = 2 * n
         if n <= 3:
@@ -182,7 +182,7 @@ def _run_theorem1(ns, rng, tol):
             route = "polynomial-action"
         else:
             rep = pfaffian_symmetry_group(two_n, SYMMETRIC_GENS)
-            route = "matching-classifier"
+            route = "cut-search"
         expected = 4 * n if n >= 2 else 2
         ok = is_dihedral(rep, two_n) and rep.order == expected
         reports.append(
@@ -433,7 +433,7 @@ def _run_skew_det(ns, rng, tol):
 # skips n outside its range; naming a check with none of its n is an error.
 CHECKS = {
     "matchings": (_run_matchings, [1, 2, 3, 4, 5], (1, 5)),
-    "theorem1": (_run_theorem1, [1, 2, 3], (1, 4)),
+    "theorem1": (_run_theorem1, [1, 2, 3], (1, 16)),
     "dihedral-invariance": (_run_dihedral_invariance, [1, 2, 3, 4], (1, 5)),
     "ssym-skew": (_run_ssym_skew, [1, 2, 3], (1, 3)),
     "theorem2": (_run_theorem2, [2, 3], (2, 4)),
@@ -531,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_det)
 
-    p = sub.add_parser("sym", parents=[common], help="brute-force symmetry group of a polynomial")
+    p = sub.add_parser("sym", parents=[common], help="symmetry group of a polynomial or of the generic pfaffian")
     p.add_argument("poly_file", nargs="?", default=None, help="polynomial JSON file")
     p.add_argument("--pfaffian", type=int, default=None, metavar="TWO_N",
                    help="use the built-in generic pfaffian of this order")

@@ -1,18 +1,13 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  The expensive tier
-(the order-16 polynomial symmetry search) is enabled by setting
-PFSYM_EXPENSIVE=1.
+Run with `pytest tests/test_acceptance.py -v -s`.
 """
 import itertools
 import math
-import os
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-
-import pytest
 
 from conftest import random_array, random_int_array
 from pfsym.matchings import enumerate_pfaff, matching_count
@@ -49,8 +44,6 @@ from pfsym.symmetry import (
     sym_of_g,
     symmetry_group,
 )
-
-EXPENSIVE = os.environ.get("PFSYM_EXPENSIVE") == "1"
 
 
 @contextmanager
@@ -119,8 +112,7 @@ def test_criterion_05_symmetry_group_is_dihedral():
             assert is_dihedral(report, two_n)
 
 
-@pytest.mark.skipif(not EXPENSIVE, reason="set PFSYM_EXPENSIVE=1 for the order-16 search")
-def test_criterion_05_expensive_order_eight():
+def test_criterion_05_order_eight():
     with criterion(5, 300, "brute-force Sym at order 8 equals <sigma, tau> (order 16)"):
         report = symmetry_group(generic_pfaffian(8), 8, SYMMETRIC_GENS)
         assert report.order == 16

@@ -115,6 +115,17 @@ def test_sym_builtin_pfaffian(capsys):
     assert obj["order"] == 24 and obj["equals_dihedral"] is False
 
 
+def test_sym_pfaffian_past_the_scan(capsys):
+    # symmetric generators take the cut search at any even order
+    assert run(["sym", "--pfaffian", "12", "--gens", "symmetric"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["order 24", "equals dihedral subgroup: True"]
+    # skew generators list all of A_m or S_m, so they keep the cap
+    assert run(["sym", "--pfaffian", "10", "--gens", "skew"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "two_n=10 exceeds the brute-force cap 8" in captured.err
+
+
 def test_sym_poly_file(tmp_path, capsys):
     poly = (x(1) - x(2)) * (x(2) - x(3)) * (x(3) - x(4)) * (x(4) - x(1))
     path = tmp_path / "poly.json"
@@ -157,6 +168,16 @@ def test_verify_theorem3_runs_the_symbolic_half_at_n4():
     code, out, _ = invoke("verify", "theorem3", "--n", "4")
     assert code == 0
     assert out.startswith("PASS theorem3 n=4 [symbolic+rational]")
+
+
+def test_verify_theorem1_reaches_n16_by_the_cut_search(capsys):
+    assert run(["verify", "theorem1", "--n", "16"]) == 0
+    assert capsys.readouterr().out.startswith("PASS theorem1 n=16 [symmetric-gens/cut-search]")
+    assert run(["verify", "theorem1", "--n", "16", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["pass"] is True and obj["lhs"] == "order 64"
+    assert run(["verify", "theorem1", "--n", "17"]) == 2
+    assert "1..16" in capsys.readouterr().err
 
 
 def test_verify_unknown_check_and_bad_range():

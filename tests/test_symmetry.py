@@ -3,6 +3,7 @@ import random
 import pytest
 
 from pfsym.backend import classify_pf_action
+from pfsym.models import g_poly
 from pfsym.pfaffian import generic_pfaffian
 from pfsym.permutations import (
     Permutation,
@@ -17,6 +18,7 @@ from pfsym.symmetry import (
     SKEW_GENS,
     SYMMETRIC_GENS,
     _check_closure,
+    _is_member,
     act,
     dihedral_group,
     is_dihedral,
@@ -109,6 +111,13 @@ def test_symmetry_group_cap():
         symmetry_group(PF4, 9, SYMMETRIC_GENS)
 
 
+def test_symmetry_group_checks_indices_before_the_scan():
+    with pytest.raises(ValueError, match=r"variable x3 outside the action on 1\.\.2"):
+        symmetry_group(x(3), 2, SYMMETRIC_GENS)
+    with pytest.raises(ValueError, match=r"variable a\(1,3\) outside the action on 1\.\.2"):
+        symmetry_group(a(1, 3) + x(1), 2, SKEW_GENS)
+
+
 def test_is_dihedral_examples():
     sigma, _ = dihedral_generators(6)
     cyclic = make_group_report(generate_subgroup([sigma]), 6)
@@ -124,6 +133,12 @@ def test_group_report_requires_closure():
         make_group_report([identity(4), sigma, tau], 4)
     with pytest.raises(RuntimeError, match="identity"):
         make_group_report([sigma], 4)
+
+
+def test_group_report_rejects_repeated_members():
+    # the order counts members, so a repeat would report order 3 here
+    with pytest.raises(ValueError, match=r"repeats Permutation\(\[1, 2\]\)"):
+        make_group_report([identity(2), identity(2), Permutation([2, 1])], 2)
 
 
 def _closed_pairwise(images):
@@ -251,3 +266,109 @@ def test_fast_group_matches_generic():
 def test_zero_polynomial_is_fixed_by_everything():
     report = symmetry_group(Poly.zero(), 4, SKEW_GENS)
     assert report.order == 24
+
+
+def _classifier_group(two_n, skew, signed):
+    """The definition: scan all of S_two_n with the matching classifier."""
+    return tuple(
+        p for p in enumerate_sym(two_n)
+        if classify_pf_action(two_n, p, skew) == (p.sign if signed else 1)
+    )
+
+
+@pytest.mark.parametrize("two_n", [2, 4, 6, 8])
+def test_pfaffian_symmetry_group_matches_classifier_scan(two_n):
+    # the cut search on symmetric generators, the sign character on skew ones
+    modes = [(SYMMETRIC_GENS, False)] + ([(SKEW_GENS, True)] if two_n <= 6 else [])
+    for mode, skew in modes:
+        for signed in (False, True):
+            got = pfaffian_symmetry_group(two_n, mode, signed=signed).elements
+            assert got == _classifier_group(two_n, skew, signed), (mode, signed)
+
+
+def test_cut_search_finds_the_dihedral_group_past_the_scan():
+    for two_n in range(10, 33, 2):
+        report = pfaffian_symmetry_group(two_n, SYMMETRIC_GENS)
+        assert report.order == 2 * two_n and report.equals_dihedral is True
+        assert is_dihedral(report, two_n)
+        signed = pfaffian_symmetry_group(two_n, SYMMETRIC_GENS, signed=True)
+        even = tuple(p for p in dihedral_group(two_n) if p.sign == 1)
+        assert signed.elements == even
+
+
+def test_pfaffian_symmetry_group_validation():
+    for two_n in (0, 3, 9):
+        with pytest.raises(ValueError, match="even"):
+            pfaffian_symmetry_group(two_n, SYMMETRIC_GENS)
+    with pytest.raises(ValueError, match="cap"):
+        pfaffian_symmetry_group(10, SKEW_GENS)
+    with pytest.raises(ValueError, match="mode"):
+        pfaffian_symmetry_group(4, "weird")
+
+
+def _acts_as(p, f, mode, signed):
+    """The definition: build the whole image and compare it with +-f."""
+    return act(p, f, mode) == (-f if signed and p.sign == -1 else f)
+
+
+def _twisted_sum(f, group, mode, signed):
+    """sum of (sgn h if signed) * act(h, f) over the group: fixed, up to sign, by it."""
+    out = Poly.zero()
+    for h in group:
+        image = act(h, f, mode)
+        out = out - image if signed and h.sign == -1 else out + image
+    return out
+
+
+def _bump_last(f):
+    """f with the coefficient of the monomial a scan visits last doubled."""
+    terms = dict(f._terms)
+    last = list(terms)[-1]
+    terms[last] *= 2
+    bumped = Poly(terms)
+    assert list(bumped._terms)[-1] == last
+    return bumped
+
+
+def _membership_cases(m, rng):
+    """Seeded random polynomials in the variables of S_m, and pf and g when m is even."""
+    pool = [x(i) for i in range(1, m + 1)] + [a(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    for _ in range(6):
+        f = Poly.zero()
+        for _ in range(rng.randint(1, 4)):
+            f = f + rng.randint(-3, 3) * rng.choice(pool) * rng.choice(pool)
+        yield f
+    if m % 2 == 0:
+        yield generic_pfaffian(m)
+        yield g_poly(m)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_early_exit_membership_matches_full_image(m):
+    rng = random.Random(100 + m)
+    sm = list(enumerate_sym(m))
+    subgroups = [
+        dihedral_group(m) if m % 2 == 0 else generate_subgroup([Permutation([*range(2, m + 1), 1])]),
+        generate_subgroup([Permutation([2, 1, *range(3, m + 1)]), Permutation([1, 2, *range(4, m + 1), 3])]),
+    ]
+
+    def check(poly, mode, signed):
+        want = tuple(p for p in sm if _acts_as(p, poly, mode, signed))
+        got = tuple(p for p in sm if _is_member(p, poly, mode == SKEW_GENS, signed))
+        assert got == want, (poly, mode, signed)
+        assert symmetry_group(poly, m, mode, signed).elements == want
+        return want
+
+    nontrivial = last_decides = 0
+    for f in _membership_cases(m, rng):
+        for mode in (SYMMETRIC_GENS, SKEW_GENS):
+            for signed in (False, True):
+                nontrivial += len(check(f, mode, signed)) > 1
+                for group in subgroups:
+                    fixed = _twisted_sum(f, group, mode, signed)
+                    if fixed:
+                        whole = check(fixed, mode, signed)
+                        nontrivial += len(whole) > 1
+                        # members of `fixed` that move the last monomial fail only there
+                        last_decides += len(check(_bump_last(fixed), mode, signed)) < len(whole)
+    assert nontrivial >= 30 and last_decides >= 5, (nontrivial, last_decides)
