@@ -1,53 +1,30 @@
 """Matching-level test oracles: the pfaffian action classifier and a
 float pfaffian by the matching sum.
 
-`classify_pf_action` applies the definition of the action to every
-matching.  It is on no search path: `pfaffian_symmetry_group` uses the
-cut criterion for symmetric generators and the sign character for skew
-ones, and the test suite checks both against a scan of all of S_m with
-this classifier.  `pf_double` no longer serves evaluation (`pfaffian_direct`
-eliminates) and is kept as a float test oracle.
+Both walk the perfect matchings of `matchings._matchings`, the package's
+one matching recursion, on 0-based indices.  `classify_pf_action`
+applies the definition of the action to every matching.  It is on no
+search path: `pfaffian_symmetry_group` uses the cut criterion for
+symmetric generators and the sign character for skew ones, and the test
+suite checks both against a scan of all of S_m with this classifier.
+`pf_double` serves no evaluation (`pfaffian_direct` eliminates) and
+checks the float elimination in the tests.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
+from .matchings import HARD_CAP, _matchings
 from .permutations import Permutation
 
-TABLE_MAX = 12  # largest size with a materialized matching table
-
-
-def _pack_index(m: int, i: int, j: int) -> int:
-    # lexicographic rank of the 0-based pair (i, j), i < j < m
-    return i * (2 * m - i - 1) // 2 + (j - i - 1)
+TABLE_MAX = 12  # largest size the classifier accepts
 
 
 @lru_cache(maxsize=None)
 def _pairs_table(m: int) -> tuple:
-    """All matchings of range(m) as (sign, ((i, j), ...)), lexicographic."""
-    out = []
-    acc: list[tuple[int, int]] = []
-
-    def rec(free: tuple[int, ...], sgn: int):
-        if not free:
-            out.append((sgn, tuple(acc)))
-            return
-        i = free[0]
-        for k in range(1, len(free)):
-            acc.append((i, free[k]))
-            rec(free[1:k] + free[k + 1 :], sgn if k % 2 == 1 else -sgn)
-            acc.pop()
-
-    rec(tuple(range(m)), 1)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _offsets_table(m: int) -> tuple:
-    return tuple(
-        (sgn, tuple(_pack_index(m, i, j) for i, j in pairs))
-        for sgn, pairs in _pairs_table(m)
-    )
+    """All matchings of range(m) as ((i, j), ...) pairs with signs, lexicographic."""
+    return tuple(_matchings(tuple(range(m))))
 
 
 def pf_double(two_n: int, packed) -> float:
@@ -57,37 +34,21 @@ def pf_double(two_n: int, packed) -> float:
     converted with float().
     """
     packed = [float(v) for v in packed]
-    if two_n < 0 or two_n % 2 != 0 or two_n > 16:
-        raise ValueError(f"two_n must be even and in 0..16, got {two_n}")
+    if two_n < 0 or two_n % 2 != 0 or two_n > HARD_CAP:
+        raise ValueError(f"two_n must be even and in 0..{HARD_CAP}, got {two_n}")
     want = two_n * (two_n - 1) // 2
     if len(packed) != want:
         raise ValueError(f"expected {want} packed entries, got {len(packed)}")
-    if two_n == 0:
-        return 1.0
-    if two_n <= TABLE_MAX:
-        total = 0.0
-        for sgn, offs in _offsets_table(two_n):
-            p = 1.0
-            for o in offs:
-                p *= packed[o]
-            if sgn == 1:
-                total += p
-            else:
-                total -= p
-        return total
-    return _pf_rec(tuple(range(two_n)), packed, two_n)
-
-
-def _pf_rec(free: tuple[int, ...], a, m: int) -> float:
-    if not free:
-        return 1.0
-    i = free[0]
+    a = dict(zip(combinations(range(two_n), 2), packed))
     total = 0.0
-    sgn = 1
-    for k in range(1, len(free)):
-        term = a[_pack_index(m, i, free[k])] * _pf_rec(free[1:k] + free[k + 1 :], a, m)
-        total += term if sgn == 1 else -term
-        sgn = -sgn
+    for pairs, sgn in _matchings(tuple(range(two_n))):
+        p = 1.0
+        for pair in pairs:
+            p *= a[pair]
+        if sgn == 1:
+            total += p
+        else:
+            total -= p
     return total
 
 
@@ -117,7 +78,7 @@ def classify_pf_action(two_n: int, p: Permutation, skew: bool) -> int:
         raise ValueError(f"permutation of size {p.size} cannot act on 1..{two_n}")
     q = [v - 1 for v in p.inverse().images]
     target = 0
-    for sgn, pairs in _pairs_table(two_n):
+    for pairs, sgn in _pairs_table(two_n):
         flip = 1
         image = []
         for i, j in pairs:

@@ -6,7 +6,6 @@ whose sign is the coefficient the matching contributes to the pfaffian.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -15,24 +14,14 @@ from .permutations import Permutation
 HARD_CAP = 16
 
 
-def matching_cap() -> int:
-    """Enumeration cap on 2n; PF_CAP may lower it, never raise past 16."""
-    raw = os.environ.get("PF_CAP")
-    if raw is None:
-        return HARD_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"PF_CAP must be an integer, got {raw!r}") from exc
-    return min(cap, HARD_CAP)
-
-
 def matching_count(two_n: int) -> int:
     """(2n-1)!! — the number of perfect matchings of {1..2n}."""
+    if two_n < 0 or two_n % 2 != 0:
+        raise ValueError(f"two_n must be even and >= 0, got {two_n}")
     count = 1
     for k in range(3, two_n, 2):
         count *= k
-    return count if two_n >= 2 else 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -76,45 +65,50 @@ def matching_sign(m: PfaffPermutation) -> int:
     return Permutation(m.flatten()).sign
 
 
+def _matchings(free: tuple[int, ...]) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+    """Every perfect matching of the sorted indices `free` as (pairs, sign).
+
+    Pairs the smallest free index with every larger free index in turn,
+    which produces the normal form, in lexicographic order, by
+    construction.  Pairing the smallest free index with the k-th remaining
+    candidate flips the sign by (-1)**(k-1), because exactly k-1
+    still-unmatched indices land strictly inside the new pair and each
+    will cross it once or not at all.  The empty tuple has one matching.
+    """
+    acc: list[tuple[int, int]] = []
+
+    def rec(free: tuple[int, ...], sgn: int):
+        if not free:
+            yield tuple(acc), sgn
+            return
+        i = free[0]
+        for k in range(1, len(free)):
+            acc.append((i, free[k]))
+            yield from rec(free[1:k] + free[k + 1 :], sgn if k % 2 == 1 else -sgn)
+            acc.pop()
+
+    return rec(free, 1)
+
+
 def enumerate_pfaff(
     two_n: int, first_partner: int | None = None
 ) -> Iterator[tuple[PfaffPermutation, int]]:
     """All matchings of {1..2n} with signs, lexicographic on the flattening.
 
-    Pairs the smallest free index with every larger free index in turn,
-    which produces the normal form by construction.  Pairing the smallest
-    free index with the k-th remaining candidate flips the sign by
-    (-1)**(k-1), because exactly k-1 still-unmatched indices land strictly
-    inside the new pair and each will cross it once or not at all.
-
-    `first_partner` restricts the stream to matchings whose first pair is
-    (1, first_partner), which splits the stream into 2n-1 disjoint blocks
-    for parallel consumption.
+    Refuses 2n above HARD_CAP; 2n = 16 already has about two million
+    matchings.  `first_partner` restricts the stream to matchings whose
+    first pair is (1, first_partner); the 2n-1 choices split the stream
+    into disjoint blocks, in order.
     """
-    cap = matching_cap()
     if two_n < 2 or two_n % 2 != 0:
         raise ValueError(f"two_n must be even and >= 2, got {two_n}")
-    if two_n > cap:
-        raise ValueError(f"two_n={two_n} exceeds the enumeration cap {cap}")
+    if two_n > HARD_CAP:
+        raise ValueError(f"two_n={two_n} exceeds the enumeration cap {HARD_CAP}")
     if first_partner is not None and not 2 <= first_partner <= two_n:
         raise ValueError(f"first_partner must lie in 2..{two_n}")
-
-    def rec(free: tuple[int, ...], acc: list[tuple[int, int]], sgn: int):
-        if not free:
-            yield PfaffPermutation(tuple(acc)), sgn
-            return
-        i = free[0]
-        for k in range(1, len(free)):
-            j = free[k]
-            acc.append((i, j))
-            rest = free[1:k] + free[k + 1 :]
-            yield from rec(rest, acc, sgn if k % 2 == 1 else -sgn)
-            acc.pop()
-
-    full = tuple(range(1, two_n + 1))
-    if first_partner is None:
-        yield from rec(full, [], 1)
-    else:
+    head, flip, free = (), 1, tuple(range(1, two_n + 1))
+    if first_partner is not None:
         k = first_partner - 1
-        rest = full[1:k] + full[k + 1 :]
-        yield from rec(rest, [(1, first_partner)], 1 if k % 2 == 1 else -1)
+        head, flip, free = ((1, first_partner),), (1 if k % 2 == 1 else -1), free[1:k] + free[k + 1 :]
+    for pairs, sgn in _matchings(free):
+        yield PfaffPermutation(head + pairs), flip * sgn

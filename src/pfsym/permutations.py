@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-DEFAULT_SYM_CAP = 9
+SYM_CAP = 9
 
 
 class Permutation:
@@ -89,15 +89,15 @@ def inverse(p: Permutation) -> Permutation:
     return p.inverse()
 
 
-def enumerate_sym(m: int, cap: int = DEFAULT_SYM_CAP) -> Iterator[Permutation]:
+def enumerate_sym(m: int) -> Iterator[Permutation]:
     """All m! permutations of {1..m} in lexicographic one-line order.
 
-    Refuses m above `cap` so a typo cannot launch a factorial-sized loop.
+    Refuses m above SYM_CAP so a typo cannot launch a factorial-sized loop.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if m > cap:
-        raise ValueError(f"m={m} exceeds the enumeration cap {cap}")
+    if m > SYM_CAP:
+        raise ValueError(f"m={m} exceeds the enumeration cap {SYM_CAP}")
     for images in itertools.permutations(range(1, m + 1)):
         yield Permutation(images)
 

@@ -10,15 +10,17 @@ completion.  The hook expansions and the determinant do use the mode.
 Scalars are pluggable: exact ints/Fractions, floats, or Poly values all
 work, and the arithmetic never leaves the scalar domain.  Float and
 rational arrays are evaluated by pivoted skew elimination in O(n^3)
-operations; other scalars take the sum over matchings, whose enumeration
-is capped (`matching_cap`).
+operations; other scalars, such as Poly, by the memoized expansion along
+the first row (`_subset_pf`, the kernel of the hook expansions), up to
+2n = 16.  The sum over matchings `_pfaffian_sum` is the definitional
+oracle the tests check both routes against.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .matchings import enumerate_pfaff
+from .matchings import HARD_CAP, enumerate_pfaff
 from .polyring import Poly, gen
 
 SYMMETRIC = "symmetric"
@@ -143,7 +145,7 @@ def parse_square_json(obj: dict) -> tuple[int, str, dict]:
         size = obj["size"]
     else:
         raise ValueError("missing key 'two_n'")
-    if not isinstance(size, int) or size < 0:
+    if isinstance(size, bool) or not isinstance(size, int) or size < 0:
         raise ValueError(f"bad size {size!r}")
     mode = obj.get("mode")
     if mode not in MODES:
@@ -181,14 +183,15 @@ def pfaffian_direct(arr: TriangularArray):
     by pivoted skew elimination (`_pf_eliminate`), in floats if any entry
     is a float and in Fractions otherwise; the result is a float, an int
     (all entries ints) or a Fraction.  Any other scalar, such as Poly,
-    takes the sum over all perfect matchings, which the enumeration cap
-    limits.
+    takes the memoized expansion `_subset_pf`, for 2n up to HARD_CAP.
     """
     if arr.two_n == 0:
         return 1
     values = arr.entries.values()
     if any(isinstance(v, bool) or not isinstance(v, (int, Fraction, float)) for v in values):
-        return _pfaffian_sum(arr)
+        if arr.two_n > HARD_CAP:
+            raise ValueError(f"two_n={arr.two_n} exceeds the enumeration cap {HARD_CAP}")
+        return _subset_pf(arr, tuple(range(1, arr.two_n + 1)), {})
     if any(isinstance(v, float) for v in values):
         return _pf_eliminate(arr, float)
     value = _pf_eliminate(arr, Fraction)
@@ -244,7 +247,7 @@ def _pf_eliminate(arr: TriangularArray, cast):
 
 
 def _pfaffian_sum(arr: TriangularArray):
-    # definitional route, generic over the scalar domain
+    # definitional test oracle, generic over the scalar domain
     if arr.two_n == 0:
         return 1
     entries = arr.entries
@@ -297,28 +300,18 @@ def _subset_pf(arr: TriangularArray, live: tuple[int, ...], memo: dict):
 
 def hook_expand_symmetric(arr: TriangularArray, s: int):
     """Expansion along hook s for symmetric completion: no Heaviside sign."""
-    if arr.mode != SYMMETRIC:
-        raise ValueError(f"symmetric hook expansion needs a symmetric array, got mode {arr.mode!r}")
-    if not 1 <= s <= arr.two_n:
-        raise IndexError(f"hook {s} outside 1..{arr.two_n}")
-    memo: dict = {}
-    live = tuple(range(1, arr.two_n + 1))
-    total = None
-    for j in live:
-        if j == s:
-            continue
-        rest = tuple(k for k in live if k != s and k != j)
-        term = arr.lookup(s, j) * _subset_pf(arr, rest, memo)
-        if (s + j + 1) % 2 != 0:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    return _hook_expand(arr, s, SYMMETRIC)
 
 
 def hook_expand_skew(arr: TriangularArray, s: int):
     """Expansion along hook s for skew completion, with the Heaviside sign."""
-    if arr.mode != SKEW:
-        raise ValueError(f"skew hook expansion needs a skew array, got mode {arr.mode!r}")
+    return _hook_expand(arr, s, SKEW)
+
+
+def _hook_expand(arr: TriangularArray, s: int, mode: str):
+    """Sum over j of a(s,j) pf(A without s, j), with the sign of the mode."""
+    if arr.mode != mode:
+        raise ValueError(f"{mode} hook expansion needs a {mode} array, got mode {arr.mode!r}")
     if not 1 <= s <= arr.two_n:
         raise IndexError(f"hook {s} outside 1..{arr.two_n}")
     memo: dict = {}
@@ -329,7 +322,8 @@ def hook_expand_skew(arr: TriangularArray, s: int):
             continue
         rest = tuple(k for k in live if k != s and k != j)
         term = arr.lookup(s, j) * _subset_pf(arr, rest, memo)
-        if (s + j + 1 + heaviside(s - j)) % 2 != 0:
+        shift = heaviside(s - j) if mode == SKEW else 0
+        if (s + j + 1 + shift) % 2 != 0:
             term = -term
         total = term if total is None else total + term
     return total

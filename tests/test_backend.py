@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pfsym import backend
-from pfsym.pfaffian import SYMMETRIC, TriangularArray, _pfaffian_sum, pfaffian_direct, upper_pairs
+from pfsym.pfaffian import SYMMETRIC, TriangularArray, _pfaffian_sum, upper_pairs
 from pfsym.permutations import Permutation, dihedral_generators, generate_subgroup
 
 
@@ -25,15 +25,6 @@ def test_pf_double_matches_exact_sum(rng):
         packed = [float(entries[p]) for p in upper_pairs(two_n)]
         got = backend.pf_double(two_n, packed)
         assert math.isclose(got, exact, rel_tol=1e-10, abs_tol=1e-9), two_n
-
-
-def test_pure_recursion_path_matches_table_path(rng):
-    # 2n = 14 exceeds the table limit and exercises the recursive fallback
-    assert backend.TABLE_MAX < 14
-    entries = {p: rng.uniform(-2.0, 2.0) for p in upper_pairs(14)}
-    rec = backend.pf_double(14, [entries[p] for p in upper_pairs(14)])
-    direct = pfaffian_direct(TriangularArray(14, SYMMETRIC, entries))
-    assert math.isclose(rec, direct, rel_tol=1e-10, abs_tol=1e-10)
 
 
 def test_classifier_closed_forms_at_eight(rng):

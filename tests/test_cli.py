@@ -83,6 +83,14 @@ def test_det_accepts_odd_sizes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["determinant"] == "8"
 
 
+def test_det_rejects_a_boolean_size(tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"size": True, "mode": "symmetric", "entries": {}}))
+    code, out, err = invoke("det", str(path))
+    assert code == 2 and out == ""
+    assert "bad size True" in err
+
+
 def test_eval_rejects_odd_sizes(tmp_path):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"size": 3, "mode": "symmetric",
@@ -243,19 +251,6 @@ def test_verify_seed_independent_of_selection():
     alone = invoke("verify", "trig1", "--seed", "5", "--format", "json")[1]
     with_others = invoke("verify", "det-examples", "trig1", "--seed", "5", "--format", "json")[1]
     assert alone.strip() in with_others
-
-
-def test_pf_cap_env_respected(tmp_path):
-    import os
-
-    env = dict(os.environ)
-    env["PF_CAP"] = "4"
-    proc = subprocess.run(
-        [sys.executable, "-m", "pfsym.cli", "matchings", "6"],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 2
-    assert "cap" in proc.stderr
 
 
 def test_expand_respects_cap():

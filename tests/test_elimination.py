@@ -3,6 +3,8 @@
 The exact route must equal the matching sum `_pfaffian_sum` bit for bit,
 the float route must agree with the matching-sum double kernel, and both
 must satisfy the pfaffian's identities at sizes past the enumeration cap.
+Poly arrays take the memoized row expansion instead, which must equal the
+matching sum too.
 """
 import math
 from fractions import Fraction
@@ -12,10 +14,10 @@ import pytest
 from conftest import random_fraction
 from pfsym import backend
 from pfsym import pfaffian as pfaffian_module
-from pfsym.models import COSINE, SQUARE_DIFF, kernel_array
+from pfsym.models import COSINE, SQUARE_DIFF, kernel_array, position_polys
 from pfsym.pfaffian import MODES, SKEW, TriangularArray, _pfaffian_sum, pfaffian_direct, upper_pairs
 from pfsym.permutations import Permutation
-from pfsym.polyring import a
+from pfsym.polyring import Poly, a
 
 
 def _array(two_n, mode, fill):
@@ -78,7 +80,7 @@ def test_float_elimination_matches_double_kernel(rng):
                 for arr in _exact_cases(rng, two_n, mode)[2:]
             ]
             if two_n > 12:
-                arrays = arrays[:1]  # the double kernel is slow past its matching table
+                arrays = arrays[:1]  # the double kernel sums 135135 matchings at 2n = 14
             for arr in arrays:
                 packed = [arr.entries[p] for p in upper_pairs(two_n)]
                 got = pfaffian_direct(arr)
@@ -140,7 +142,6 @@ def test_elimination_enumerates_no_matchings_and_ignores_the_cap(monkeypatch, rn
         raise AssertionError("enumerate_pfaff called")
 
     monkeypatch.setattr(pfaffian_module, "enumerate_pfaff", refuse)
-    monkeypatch.setenv("PF_CAP", "4")
     class Double(float):
         pass
 
@@ -150,9 +151,32 @@ def test_elimination_enumerates_no_matchings_and_ignores_the_cap(monkeypatch, rn
         assert isinstance(pfaffian_direct(_array(two_n, SKEW, lambda i, j: random_fraction(rng))), Fraction)
 
 
-def test_poly_arrays_keep_the_enumeration_cap(monkeypatch):
+def test_poly_arrays_keep_the_enumeration_cap():
     with pytest.raises(ValueError, match="enumeration cap 16"):
         pfaffian_direct(_array(18, SKEW, a))
-    monkeypatch.setenv("PF_CAP", "4")
-    with pytest.raises(ValueError, match="enumeration cap 4"):
-        pfaffian_direct(_array(6, SKEW, a))
+
+
+def _poly_cases(two_n, mode):
+    """The generic array a(i,j) and the square-difference kernel (x_i - x_j)^2."""
+    xs = position_polys(two_n)
+    return [_array(two_n, mode, a), _array(two_n, mode, lambda i, j: SQUARE_DIFF.symbolic(xs[i - 1], xs[j - 1]))]
+
+
+def test_poly_route_equals_matching_sum():
+    for two_n in range(2, 9, 2):
+        for mode in MODES:
+            for arr in _poly_cases(two_n, mode):
+                got = pfaffian_direct(arr)
+                assert isinstance(got, Poly)
+                assert got == _pfaffian_sum(arr), (two_n, mode)
+
+
+def test_poly_route_enumerates_no_matchings(monkeypatch):
+    want = {two_n: [_pfaffian_sum(arr) for arr in _poly_cases(two_n, SKEW)] for two_n in (4, 8)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_pfaff called")
+
+    monkeypatch.setattr(pfaffian_module, "enumerate_pfaff", refuse)
+    for two_n, values in want.items():
+        assert [pfaffian_direct(arr) for arr in _poly_cases(two_n, SKEW)] == values

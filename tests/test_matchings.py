@@ -5,7 +5,6 @@ import pytest
 from pfsym.matchings import (
     PfaffPermutation,
     enumerate_pfaff,
-    matching_cap,
     matching_count,
     matching_sign,
 )
@@ -85,16 +84,11 @@ def test_input_validation():
         list(enumerate_pfaff(18))
 
 
-def test_pf_cap_env(monkeypatch):
-    monkeypatch.setenv("PF_CAP", "4")
-    assert matching_cap() == 4
-    with pytest.raises(ValueError):
-        list(enumerate_pfaff(6))
-    monkeypatch.setenv("PF_CAP", "99")
-    assert matching_cap() == 16  # hard limit
-    monkeypatch.setenv("PF_CAP", "nope")
-    with pytest.raises(ValueError):
-        matching_cap()
+def test_matching_count_needs_an_even_size():
+    assert matching_count(0) == 1
+    for two_n in (5, 1, -2):
+        with pytest.raises(ValueError, match="even"):
+            matching_count(two_n)
 
 
 def test_normal_form_validation():

@@ -102,9 +102,6 @@ def test_enumerate_sym_counts_and_order():
 def test_enumerate_sym_cap():
     with pytest.raises(ValueError):
         list(enumerate_sym(10))
-    with pytest.raises(ValueError):
-        list(enumerate_sym(5, cap=4))
-    assert len(list(enumerate_sym(5, cap=5))) == 120
 
 
 def test_dihedral_generators_examples():
