@@ -52,7 +52,6 @@ from .symmetry import (
     GroupReport,
     act,
     dihedral_group,
-    is_dihedral,
     pfaffian_symmetry_group,
     sym_of_g,
     symmetry_group,

@@ -7,6 +7,7 @@ in every report, so verify runs are reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -40,14 +41,13 @@ from .pfaffian import (
     scalar_to_json,
     upper_pairs,
 )
-from .permutations import classify_runs, enumerate_sym
+from .permutations import SYM_CAP, Permutation, classify_runs, dihedral_generators, enumerate_sym
 from .polyring import Poly, x
 from .symmetry import (
     SKEW_GENS,
     SYMMETRIC_GENS,
     act,
     dihedral_group,
-    is_dihedral,
     pfaffian_symmetry_group,
     sym_of_g,
     symmetry_group,
@@ -136,24 +136,16 @@ def _cmd_sym(args) -> int:
 # -- the verify registry --------------------------------------------------------
 
 
-def _with_seed(reports: list[VerificationReport], seed) -> list[VerificationReport]:
-    return [
-        VerificationReport(r.check, r.n, r.mode, r.passed, r.residual, r.lhs, r.rhs, seed)
-        for r in reports
-    ]
-
-
 def _run_matchings(ns, rng, tol):
     counts_ok = True
     detail = []
     for n in ns:
-        if n > 5:
-            continue
         two_n = 2 * n
         got = sum(1 for _ in enumerate_pfaff(two_n))
         counts_ok &= got == matching_count(two_n)
         detail.append(got)
-        if two_n <= 8:
+        # the brute-force half scans S_2n, which enumerate_sym refuses past SYM_CAP
+        if two_n <= SYM_CAP:
             canon = {m.flatten() for m, _ in enumerate_pfaff(two_n)}
             brute = set()
             for p in enumerate_sym(two_n):
@@ -174,8 +166,6 @@ def _run_matchings(ns, rng, tol):
 def _run_theorem1(ns, rng, tol):
     reports = []
     for n in ns:
-        if n > 16:
-            continue
         two_n = 2 * n
         if n <= 3:
             rep = symmetry_group(generic_pfaffian(two_n), two_n, SYMMETRIC_GENS)
@@ -184,7 +174,7 @@ def _run_theorem1(ns, rng, tol):
             rep = pfaffian_symmetry_group(two_n, SYMMETRIC_GENS)
             route = "cut-search"
         expected = 4 * n if n >= 2 else 2
-        ok = is_dihedral(rep, two_n) and rep.order == expected
+        ok = rep.equals_dihedral and rep.order == expected
         reports.append(
             VerificationReport(
                 "theorem1", n, f"symmetric-gens/{route}", ok, 0.0,
@@ -195,13 +185,17 @@ def _run_theorem1(ns, rng, tol):
 
 
 def _run_dihedral_invariance(ns, rng, tol):
+    """The dihedral subgroup <sigma, tau> fixes the generic pfaffian.
+
+    {p : act(p, pf) = pf} is a subgroup, because act is a linear group
+    action, so it holds <sigma, tau> once it holds sigma and tau: the
+    check acts with those two generators only.
+    """
     reports = []
     for n in ns:
-        if n > 5:
-            continue
         two_n = 2 * n
         pf = generic_pfaffian(two_n)
-        bad = [d for d in dihedral_group(two_n) if act(d, pf, SYMMETRIC_GENS) != pf]
+        bad = [d for d in dihedral_generators(two_n) if act(d, pf, SYMMETRIC_GENS) != pf]
         reports.append(
             VerificationReport(
                 "dihedral-invariance", n, "symmetric-gens", not bad, 0.0,
@@ -212,15 +206,21 @@ def _run_dihedral_invariance(ns, rng, tol):
 
 
 def _run_ssym_skew(ns, rng, tol):
+    """On skew generators every p in S_2n acts on the generic pfaffian by its sign.
+
+    {p : act(p, pf) = sgn(p) pf} is a subgroup, because act is a linear
+    group action and sgn a homomorphism.  The transposition (1 2) and the
+    2n-cycle sigma generate S_2n, so the check acts with those two only.
+    """
     reports = []
     for n in ns:
-        if n > 3:
-            continue
         two_n = 2 * n
         pf = generic_pfaffian(two_n)
+        swap = Permutation([2, 1, *range(3, two_n + 1)])
+        cycle = dihedral_generators(two_n)[0]
         ok = all(
             act(p, pf, SKEW_GENS) == (pf if p.sign == 1 else -pf)
-            for p in enumerate_sym(two_n)
+            for p in (swap, cycle)
         )
         reports.append(
             VerificationReport(
@@ -234,8 +234,6 @@ def _run_ssym_skew(ns, rng, tol):
 def _run_theorem2(ns, rng, tol):
     reports = []
     for n in ns:
-        if not 2 <= n <= 4:
-            continue
         two_n = 2 * n
         xs = position_polys(two_n)
         sub = [verify_theorem2(SQUARE_DIFF, xs, s) for s in range(1, two_n + 1)]
@@ -287,28 +285,29 @@ def _run_theorem4(ns, rng, tol):
 def _run_g_symmetry(ns, rng, tol):
     reports = []
     for n in ns:
-        if 2 <= n <= 3:
+        # the group half stops at n = 3, so the default output keeps its lines:
+        # sym_of_g(8) scans all of S_8 (1.4 s on a 2-core VM)
+        if n <= 3:
             rep = sym_of_g(2 * n)
-            ok = is_dihedral(rep, 2 * n) and rep.order == 4 * n
+            ok = rep.equals_dihedral and rep.order == 4 * n
             reports.append(
                 VerificationReport(
                     "g-symmetry", n, "group", ok, 0.0,
                     f"order {rep.order}", f"dihedral subgroup, order {4 * n}",
                 )
             )
-        if 2 <= n <= 4:
-            two_n = 2 * n
-            members = {p.images for p in dihedral_group(two_n)}
-            ok = all(
-                classify_runs(p).is_dihedral == (p.images in members)
-                for p in enumerate_sym(two_n)
+        two_n = 2 * n
+        members = {p.images for p in dihedral_group(two_n)}
+        ok = all(
+            classify_runs(p).is_dihedral == (p.images in members)
+            for p in enumerate_sym(two_n)
+        )
+        reports.append(
+            VerificationReport(
+                "g-symmetry", n, "run-classifier", ok, 0.0,
+                "run shapes", "subgroup membership",
             )
-            reports.append(
-                VerificationReport(
-                    "g-symmetry", n, "run-classifier", ok, 0.0,
-                    "run shapes", "subgroup membership",
-                )
-            )
+        )
     return reports
 
 
@@ -385,8 +384,6 @@ def _random_fraction(rng) -> Fraction:
 def _run_hook_oracle(ns, rng, tol):
     reports = []
     for n in ns:
-        if not 2 <= n <= 4:
-            continue
         two_n = 2 * n
         ok = True
         for mode, expand in ((SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)):
@@ -409,8 +406,6 @@ def _run_hook_oracle(ns, rng, tol):
 def _run_skew_det(ns, rng, tol):
     reports = []
     for n in ns:
-        if n > 3:
-            continue
         two_n = 2 * n
         ok = True
         for _ in range(50):
@@ -430,12 +425,14 @@ def _run_skew_det(ns, rng, tol):
 
 # name -> (runner, default n list, the n range (lo, hi) the runner handles);
 # hi None is unbounded, and checks that take no n have no range.  A runner
-# skips n outside its range; naming a check with none of its n is an error.
+# is passed only the n of its range; naming a check with none of them is an
+# error.  dihedral-invariance and ssym-skew stop at n = 6, where each takes
+# about 0.6 s; at n = 7, generic_pfaffian(14) alone takes 5.4 s (2-core VM).
 CHECKS = {
     "matchings": (_run_matchings, [1, 2, 3, 4, 5], (1, 5)),
     "theorem1": (_run_theorem1, [1, 2, 3], (1, 16)),
-    "dihedral-invariance": (_run_dihedral_invariance, [1, 2, 3, 4], (1, 5)),
-    "ssym-skew": (_run_ssym_skew, [1, 2, 3], (1, 3)),
+    "dihedral-invariance": (_run_dihedral_invariance, [1, 2, 3, 4], (1, 6)),
+    "ssym-skew": (_run_ssym_skew, [1, 2, 3], (1, 6)),
     "theorem2": (_run_theorem2, [2, 3], (2, 4)),
     "theorem3": (_run_theorem3, [1, 2, 3, 4, 5], (1, None)),
     "theorem4": (_run_theorem4, [1, 2, 3, 4, 5, 6, 7], (1, None)),
@@ -461,13 +458,19 @@ def _parse_n_range(text: str) -> list[int]:
         raise ValueError(f"--n expects N or LO..HI, got {text!r}") from None
 
 
-def _require_runnable_n(name: str, requested: list[int]) -> None:
-    """Refuse a check named on the command line that would run no n at all."""
+def _supports(name: str, n) -> bool:
+    """Whether n lies in the CHECKS range of `name`; a check with no range takes any n."""
     supported = CHECKS[name][2]
     if supported is None:
-        return
+        return True
     lo, hi = supported
-    if not any(lo <= n and (hi is None or n <= hi) for n in requested):
+    return lo <= n and (hi is None or n <= hi)
+
+
+def _require_runnable_n(name: str, requested: list[int]) -> None:
+    """Refuse a check named on the command line that would run no n at all."""
+    if not any(_supports(name, n) for n in requested):
+        lo, hi = CHECKS[name][2]
         span = f"{lo}..{hi}" if hi is not None else f">= {lo}"
         raise ValueError(f"check {name!r} supports n {span}, none requested")
 
@@ -487,9 +490,12 @@ def _cmd_verify(args) -> int:
     all_ok = True
     for name in names:
         runner, default_ns, _ = CHECKS[name]
-        ns = requested if requested is not None else list(default_ns)
+        ns = [n for n in (requested or default_ns) if _supports(name, n)]
+        if not ns:
+            continue
         rng = random.Random(f"{args.seed}:{name}")
-        for report in _with_seed(runner(ns, rng, args.tol), args.seed):
+        for report in runner(ns, rng, args.tol):
+            report = dataclasses.replace(report, seed=args.seed)
             all_ok &= report.passed
             status = "PASS" if report.passed else "FAIL"
             text = f"{status} {report.check}" + (f" n={report.n}" if report.n is not None else "")

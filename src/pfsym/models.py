@@ -71,17 +71,11 @@ class DifferenceKernel:
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
     def value(self, xv, yv):
+        """phi(xv - yv) by Horner's rule, in the scalar domain of the positions."""
         d = xv - yv
-        acc = 0
+        acc = Poly.zero() if isinstance(d, Poly) else 0  # a Poly even for the zero kernel
         for c in reversed(self.coeffs):
             acc = acc * d + c
-        return acc
-
-    def symbolic(self, xi: Poly, xj: Poly) -> Poly:
-        d = xi - xj
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * d + Poly.const(c)
         return acc
 
 
@@ -113,15 +107,13 @@ def kernel_array(kernel, xs: Sequence) -> TriangularArray:
     xs = list(xs)
     if len(xs) % 2 != 0:
         raise ValueError(f"need an even number of positions, got {len(xs)}")
-    symbolic = any(isinstance(v, Poly) for v in xs)
-    if symbolic:
+    if any(isinstance(v, Poly) for v in xs):
         if kernel.numeric_only:
             raise ValueError(f"the {kernel.name} kernel is numeric only")
-        vals = [v if isinstance(v, Poly) else Poly.const(v) for v in xs]
-        fill = lambda i, j: kernel.symbolic(vals[i - 1], vals[j - 1])
-    else:
-        fill = lambda i, j: kernel.value(xs[i - 1], xs[j - 1])
-    return TriangularArray.from_function(len(xs), SYMMETRIC, fill)
+        xs = [v if isinstance(v, Poly) else Poly.const(v) for v in xs]
+    return TriangularArray.from_function(
+        len(xs), SYMMETRIC, lambda i, j: kernel.value(xs[i - 1], xs[j - 1])
+    )
 
 
 def g_poly(two_n: int) -> Poly:
@@ -137,21 +129,18 @@ def g_poly(two_n: int) -> Poly:
 # -- theorem checks ------------------------------------------------------------
 
 
-def verify_theorem3(n: int, include_symbolic: bool | None = None) -> VerificationReport:
+def verify_theorem3(n: int) -> VerificationReport:
     """Closed form of the squared-difference pfaffian.
 
-    Symbolically: pf equals -(-2)**(n-1) times the cycle product.  At the
-    integer positions (1..2n) this specializes to (-2)**(n-1) * (2n-1);
-    that value is recomputed here exactly by skew elimination on the
-    rational array, so the numeric check does not lean on the symbolic
-    identity.
+    Symbolically, for n <= 4: pf equals -(-2)**(n-1) times the cycle
+    product.  At the integer positions (1..2n) this specializes to
+    (-2)**(n-1) * (2n-1); that value is recomputed here exactly by skew
+    elimination on the rational array, for every n, so the numeric check
+    does not lean on the symbolic identity.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if include_symbolic is None:
-        include_symbolic = n <= 4
-    if include_symbolic and n > 4:
-        raise ValueError(f"symbolic check capped at n=4, got {n}")
+    symbolic = n <= 4
     two_n = 2 * n
     checks = []
 
@@ -162,7 +151,7 @@ def verify_theorem3(n: int, include_symbolic: bool | None = None) -> Verificatio
     lhs_text = str(numeric)
     rhs_text = str(numeric_expected)
 
-    if include_symbolic:
+    if symbolic:
         pf = pfaffian_direct(kernel_array(SQUARE_DIFF, position_polys(two_n)))
         expected = Fraction(-((-2) ** (n - 1))) * g_poly(two_n)
         checks.append(pf == expected)
@@ -170,7 +159,7 @@ def verify_theorem3(n: int, include_symbolic: bool | None = None) -> Verificatio
         lhs_text = str(pf)
         rhs_text = str(expected)
 
-    mode = "symbolic+rational" if include_symbolic else "rational"
+    mode = "symbolic+rational" if symbolic else "rational"
     return VerificationReport(
         check="theorem3", n=n, mode=mode, passed=all(checks), residual=0.0,
         lhs=lhs_text, rhs=rhs_text,

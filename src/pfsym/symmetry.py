@@ -26,8 +26,6 @@ SYMMETRIC_GENS = "symmetric"
 SKEW_GENS = "skew"
 ACTION_MODES = (SYMMETRIC_GENS, SKEW_GENS)
 
-BRUTE_FORCE_CAP = 8
-
 
 def _check_mode(mode: str) -> None:
     if mode not in ACTION_MODES:
@@ -171,15 +169,13 @@ def _is_member(p: Permutation, poly: Poly, skew: bool, signed: bool) -> bool:
 def symmetry_group(poly: Poly, m: int, mode: str, signed: bool = False) -> GroupReport:
     """Brute-force Sym (signed=False) or SSym (signed=True) of poly in S_m.
 
-    Every permutation of S_m, m <= BRUTE_FORCE_CAP, is tested in one
-    serial scan by the early-exit `_is_member`, and `make_group_report`
-    certifies the result exactly.  A constant polynomial (zero included)
-    is fixed by everything, so the full S_m comes back: that is the
-    definition doing its job, not an error.
+    Every permutation of S_m is tested in one serial scan by the
+    early-exit `_is_member` (`enumerate_sym` refuses m above SYM_CAP), and
+    `make_group_report` certifies the result exactly.  A constant
+    polynomial (zero included) is fixed by everything, so the full S_m
+    comes back: that is the definition doing its job, not an error.
     """
     _check_mode(mode)
-    if m > BRUTE_FORCE_CAP:
-        raise ValueError(f"m={m} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
     _check_indices(poly, m)
     skew = mode == SKEW_GENS
     members = [p for p in enumerate_sym(m) if _is_member(p, poly, skew, signed)]
@@ -202,8 +198,8 @@ def pfaffian_symmetry_group(
 
     Skew generators: the two factors (-1)^{#inverted} cancel and t = sgn p
     for every p, which is pf(P^T A P) = det P pf A.  The group is A_m, or
-    S_m when signed; skew mode keeps BRUTE_FORCE_CAP since the group has
-    m!/2 or m! elements.
+    S_m when signed, listed by `enumerate_sym` up to its cap SYM_CAP, since
+    the group has m!/2 or m! elements.
 
     Symmetric generators: t(M) is constant exactly when the parity of
     #inverted pairs is the same on the three matchings of any four points,
@@ -223,8 +219,6 @@ def pfaffian_symmetry_group(
     if two_n < 2 or two_n % 2 != 0:
         raise ValueError(f"two_n must be even and >= 2, got {two_n}")
     if mode == SKEW_GENS:
-        if two_n > BRUTE_FORCE_CAP:
-            raise ValueError(f"two_n={two_n} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
         members = [p for p in enumerate_sym(two_n) if signed or p.sign == 1]
     else:
         members = _cut_search(two_n, signed)
@@ -264,16 +258,6 @@ def _cut_search(m: int, signed: bool) -> set[Permutation]:
     return found
 
 
-def is_dihedral(report: GroupReport, two_n: int) -> bool:
-    """Whether the report's elements are exactly the subgroup <sigma, tau>."""
-    if report.elements and report.elements[0].size != two_n:
-        raise ValueError(
-            f"report over S_{report.elements[0].size} cannot be compared at two_n={two_n}"
-        )
-    target = {p.images for p in dihedral_group(two_n)}
-    return {p.images for p in report.elements} == target
-
-
 def sym_of_g(two_n: int) -> GroupReport:
     """Brute-force symmetry group of the cycle product g.
 
@@ -295,7 +279,6 @@ __all__ = [
     "GroupReport",
     "act",
     "dihedral_group",
-    "is_dihedral",
     "make_group_report",
     "pfaffian_symmetry_group",
     "sym_of_g",

@@ -39,7 +39,6 @@ from pfsym.symmetry import (
     SYMMETRIC_GENS,
     act,
     dihedral_group,
-    is_dihedral,
     pfaffian_symmetry_group,
     sym_of_g,
     symmetry_group,
@@ -109,14 +108,14 @@ def test_criterion_05_symmetry_group_is_dihedral():
         for two_n, order in ((4, 8), (6, 12)):
             report = symmetry_group(generic_pfaffian(two_n), two_n, SYMMETRIC_GENS)
             assert report.order == order
-            assert is_dihedral(report, two_n)
+            assert report.equals_dihedral is True
 
 
 def test_criterion_05_order_eight():
     with criterion(5, 300, "brute-force Sym at order 8 equals <sigma, tau> (order 16)"):
         report = symmetry_group(generic_pfaffian(8), 8, SYMMETRIC_GENS)
         assert report.order == 16
-        assert is_dihedral(report, 8)
+        assert report.equals_dihedral is True
         fast = pfaffian_symmetry_group(8, SYMMETRIC_GENS)
         assert fast.elements == report.elements
 
@@ -177,7 +176,7 @@ def test_criterion_10_cycle_product_symmetry():
         for two_n, order in ((4, 8), (6, 12)):
             report = sym_of_g(two_n)
             assert report.order == order
-            assert is_dihedral(report, two_n)
+            assert report.equals_dihedral is True
         for two_n in (4, 6, 8):
             members = {p.images for p in dihedral_group(two_n)}
             for p in enumerate_sym(two_n):

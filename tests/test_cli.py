@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from pfsym.cli import run
+from pfsym import cli
+from pfsym.cli import CHECKS, run
 from pfsym.pfaffian import TriangularArray, upper_pairs
-from pfsym.polyring import x
+from pfsym.polyring import a, x
 
 
 def invoke(*argv):
@@ -131,7 +132,7 @@ def test_sym_pfaffian_past_the_scan(capsys):
     # skew generators list all of A_m or S_m, so they keep the cap
     assert run(["sym", "--pfaffian", "10", "--gens", "skew"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "two_n=10 exceeds the brute-force cap 8" in captured.err
+    assert captured.out == "" and "m=10 exceeds the enumeration cap 8" in captured.err
 
 
 def test_sym_poly_file(tmp_path, capsys):
@@ -210,6 +211,42 @@ def test_verify_named_check_without_runnable_n_is_an_error():
     # one runnable n is enough
     code, out, _ = invoke("verify", "skew-det", "--n", "3..4")
     assert code == 0 and out.startswith("PASS skew-det n=3")
+
+
+def test_verify_passes_each_check_only_the_n_of_its_range(capsys):
+    for checks in (["theorem2", "theorem1"], ["all"]):
+        assert run(["verify", *checks, "--n", "0..2"]) == 0
+        wide = capsys.readouterr().out
+        assert run(["verify", *checks, "--n", "1..2"]) == 0
+        assert wide == capsys.readouterr().out
+
+
+def test_verify_default_ns_lie_in_their_ranges():
+    for name, (_, default_ns, supported) in CHECKS.items():
+        if supported is None:
+            assert default_ns == [None], name
+        else:
+            lo, hi = supported
+            assert all(lo <= n and (hi is None or n <= hi) for n in default_ns), name
+
+
+def test_verify_group_checks_reach_n6_on_generators(capsys):
+    assert run(["verify", "dihedral-invariance", "--n", "6"]) == 0
+    assert capsys.readouterr().out.startswith("PASS dihedral-invariance n=6")
+    assert run(["verify", "ssym-skew", "--n", "4"]) == 0
+    assert capsys.readouterr().out.startswith("PASS ssym-skew n=4")
+    for check in ("dihedral-invariance", "ssym-skew"):
+        assert run(["verify", check, "--n", "7"]) == 2
+        assert "1..6" in capsys.readouterr().err
+
+
+# sigma sends a(1,2) to a(1,4); (1 2) sends a(1,3) to a(2,3), not to -a(1,3)
+@pytest.mark.parametrize("check, term", [("dihedral-invariance", a(1, 2)), ("ssym-skew", a(1, 3))])
+def test_verify_group_checks_catch_a_term_a_generator_moves(monkeypatch, capsys, check, term):
+    generic = cli.generic_pfaffian
+    monkeypatch.setattr(cli, "generic_pfaffian", lambda two_n: generic(two_n) + term)
+    assert run(["verify", check, "--n", "2"]) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL {check} n=2")
 
 
 def test_verify_all_runs_what_each_check_supports():

@@ -159,7 +159,7 @@ def test_poly_arrays_keep_the_enumeration_cap():
 def _poly_cases(two_n, mode):
     """The generic array a(i,j) and the square-difference kernel (x_i - x_j)^2."""
     xs = position_polys(two_n)
-    return [_array(two_n, mode, a), _array(two_n, mode, lambda i, j: SQUARE_DIFF.symbolic(xs[i - 1], xs[j - 1]))]
+    return [_array(two_n, mode, a), _array(two_n, mode, lambda i, j: SQUARE_DIFF.value(xs[i - 1], xs[j - 1]))]
 
 
 def test_poly_route_equals_matching_sum():

@@ -25,6 +25,8 @@ def test_kernel_array_symbolic_entries():
     arr = kernel_array(SQUARE_DIFF, position_polys(4))
     assert arr.mode == SYMMETRIC
     assert arr.entries[(1, 3)] == (x(1) - x(3)) ** 2
+    zero = kernel_array(DifferenceKernel(()), position_polys(2))
+    assert zero.entries[(1, 2)] == Poly.zero() and isinstance(zero.entries[(1, 2)], Poly)
 
 
 def test_kernel_array_integer_entries():
@@ -83,15 +85,14 @@ def test_theorem3_numeric_values():
     for n, value in expected.items():
         ints = [Fraction(i) for i in range(1, 2 * n + 1)]
         assert pfaffian_direct(kernel_array(SQUARE_DIFF, ints)) == value
-        report = verify_theorem3(n, include_symbolic=False)
-        assert report.passed and report.mode == "rational"
+        report = verify_theorem3(n)
+        assert report.passed
+        assert report.mode == ("rational" if n == 5 else "symbolic+rational")
 
 
 def test_theorem3_input_validation():
     with pytest.raises(ValueError):
         verify_theorem3(0)
-    with pytest.raises(ValueError):
-        verify_theorem3(5, include_symbolic=True)
 
 
 def test_theorem2_square_diff_all_hooks():

@@ -21,7 +21,6 @@ from pfsym.symmetry import (
     _is_member,
     act,
     dihedral_group,
-    is_dihedral,
     make_group_report,
     pfaffian_symmetry_group,
     sym_of_g,
@@ -89,7 +88,6 @@ def test_symmetry_group_pf4_dihedral():
     assert report.order == 8
     assert report.equals_dihedral is True
     assert report.witness is None
-    assert is_dihedral(report, 4)
 
 
 def test_skew_symmetry_group_pf4_is_full():
@@ -97,7 +95,6 @@ def test_skew_symmetry_group_pf4_is_full():
     assert report.order == 24
     assert report.equals_dihedral is False
     assert report.witness is not None
-    assert not is_dihedral(report, 4)
 
 
 def test_symmetry_group_of_constant():
@@ -122,9 +119,7 @@ def test_is_dihedral_examples():
     sigma, _ = dihedral_generators(6)
     cyclic = make_group_report(generate_subgroup([sigma]), 6)
     assert cyclic.order == 6
-    assert not is_dihedral(cyclic, 6)
-    with pytest.raises(ValueError):
-        is_dihedral(cyclic, 4)
+    assert cyclic.equals_dihedral is False
 
 
 def test_group_report_requires_closure():
@@ -228,7 +223,7 @@ def test_theorem_groups_at_orders_four_and_six():
     for two_n in (4, 6):
         report = symmetry_group(generic_pfaffian(two_n), two_n, SYMMETRIC_GENS)
         assert report.order == 2 * two_n
-        assert is_dihedral(report, two_n)
+        assert report.equals_dihedral is True
 
 
 def test_sym_of_g_examples():
@@ -290,7 +285,6 @@ def test_cut_search_finds_the_dihedral_group_past_the_scan():
     for two_n in range(10, 33, 2):
         report = pfaffian_symmetry_group(two_n, SYMMETRIC_GENS)
         assert report.order == 2 * two_n and report.equals_dihedral is True
-        assert is_dihedral(report, two_n)
         signed = pfaffian_symmetry_group(two_n, SYMMETRIC_GENS, signed=True)
         even = tuple(p for p in dihedral_group(two_n) if p.sign == 1)
         assert signed.elements == even
