@@ -285,8 +285,8 @@ def _run_theorem4(ns, rng, tol):
 def _run_g_symmetry(ns, rng, tol):
     reports = []
     for n in ns:
-        # the group half stops at n = 3, so the default output keeps its lines:
-        # sym_of_g(8) scans all of S_8 (1.4 s on a 2-core VM)
+        # the group half stops at n = 3 only so the default output keeps its
+        # lines; sym_of_g(8) would take about 10 ms (2-core VM)
         if n <= 3:
             rep = sym_of_g(2 * n)
             ok = rep.equals_dihedral and rep.order == 4 * n

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
-# the one cap on scans of S_m: the S_8 scan of the generic pfaffian takes
-# 0.62 s (2-core VM, Python 3.11), and m = 9 would take nine times that
+# the one cap on m wherever S_m or a subgroup is listed element by element:
+# listing and certifying all of S_8 (Sym of a constant, or SSym of the skew
+# generic pfaffian) takes 0.4-0.7 s (2-core VM, Python 3.11), and m = 9 has
+# nine times as many elements
 SYM_CAP = 8
 
 
@@ -91,15 +94,20 @@ def inverse(p: Permutation) -> Permutation:
     return p.inverse()
 
 
+def check_sym_size(m: int) -> None:
+    """Raise unless 1 <= m <= SYM_CAP."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if m > SYM_CAP:
+        raise ValueError(f"m={m} exceeds the enumeration cap {SYM_CAP}")
+
+
 def enumerate_sym(m: int) -> Iterator[Permutation]:
     """All m! permutations of {1..m} in lexicographic one-line order.
 
     Refuses m above SYM_CAP so a typo cannot launch a factorial-sized loop.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m > SYM_CAP:
-        raise ValueError(f"m={m} exceeds the enumeration cap {SYM_CAP}")
+    check_sym_size(m)
     for images in itertools.permutations(range(1, m + 1)):
         yield Permutation(images)
 
@@ -123,11 +131,14 @@ def close_right(reached: set, frontier: list, gens: list, inside: set | None = N
     Works on image tuples.  With `inside` given, the first new product
     a o g outside it stops the walk and (a, g) is returned; else None.
     """
+    # a o g is itemgetter(g - 1)(a); with one index itemgetter returns an
+    # item, not a tuple, but then g is the identity of S_1
+    steps = [(g, itemgetter(*[v - 1 for v in g]) if len(g) > 1 else tuple) for g in gens]
     while frontier:
         new = []
         for a in frontier:
-            for g in gens:
-                b = tuple([a[v - 1] for v in g])
+            for g, step in steps:
+                b = step(a)
                 if b not in reached:
                     if inside is not None and b not in inside:
                         return a, g

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .models import g_poly
 from .permutations import (
     Permutation,
+    check_sym_size,
     close_right,
     dihedral_generators,
     enumerate_sym,
@@ -41,10 +42,6 @@ def _check_indices(poly: Poly, size: int) -> None:
             raise ValueError(f"variable a({v[1]},{v[2]}) outside the action on 1..{size}")
 
 
-def _term_key(term) -> tuple:
-    return _var_key(term[0])
-
-
 def _relabel(mono, inv: tuple[int, ...], skew: bool):
     """The image of one monomial under the action whose p^{-1} has images `inv`.
 
@@ -52,19 +49,22 @@ def _relabel(mono, inv: tuple[int, ...], skew: bool):
     map is injective on monomials, because p permutes the variables.
     """
     negate = False
-    out = []
+    xs = []
+    gens = []
     for v, e in mono:
         if v[0] == "x":
-            out.append((("x", inv[v[1] - 1]), e))
+            xs.append((("x", inv[v[1] - 1]), e))
         else:
             u, w = inv[v[1] - 1], inv[v[2] - 1]
             if u > w:
                 u, w = w, u
                 if skew and e % 2 == 1:
                     negate = not negate
-            out.append((("a", u, w), e))
-    out.sort(key=_term_key)
-    return tuple(out), negate
+            gens.append((("a", u, w), e))
+    # the variables are distinct, so plain tuple order sorts each family by index
+    xs.sort()
+    gens.sort()
+    return tuple(xs + gens), negate
 
 
 def act(p: Permutation, poly: Poly, mode: str) -> Poly:
@@ -148,38 +148,150 @@ def _check_closure(images: set[tuple[int, ...]]) -> None:
                 raise RuntimeError(f"symmetry set is not closed: {a} o {b} escapes")
 
 
-def _is_member(p: Permutation, poly: Poly, skew: bool, signed: bool) -> bool:
-    """Whether act(p, poly) equals poly, or -poly when `signed` and p is odd.
+def _is_member(inv: tuple[int, ...], poly: Poly, skew: bool, signed: bool) -> bool:
+    """Whether the p with p^{-1} = inv (images) maps poly to itself, or to
+    -poly when `signed` and p is odd.
 
-    Each monomial's image is looked up in poly and the scan stops at the
+    Each monomial's image is looked up in poly and the test stops at the
     first missing or unequal coefficient.  When every lookup hits, the
     image is all of poly: relabeling is injective and both have len(poly)
-    terms.  Indices must already be checked against p.size.
+    terms.  Indices must already be checked against len(inv).
     """
-    inv = p.inverse().images
-    flip = signed and p.sign == -1
+    flip = signed and Permutation(inv).sign == -1
     terms = poly._terms
     for mono, coeff in terms.items():
         image, negate = _relabel(mono, inv, skew)
-        if terms.get(image) != (-coeff if negate != flip else coeff):
+        c = terms.get(image)
+        if c is None or c != (-coeff if negate != flip else coeff):
             return False
     return True
 
 
-def symmetry_group(poly: Poly, m: int, mode: str, signed: bool = False) -> GroupReport:
-    """Brute-force Sym (signed=False) or SSym (signed=True) of poly in S_m.
+def _pair_colours(poly: Poly, m: int, skew: bool, signed: bool) -> list[list[int]]:
+    """The m x m table w of pair colours (0-based points) of poly.
 
-    Every permutation of S_m is tested in one serial scan by the
-    early-exit `_is_member` (`enumerate_sym` refuses m above SYM_CAP), and
-    `make_group_report` certifies the result exactly.  A constant
-    polynomial (zero included) is fixed by everything, so the full S_m
-    comes back: that is the definition doing its job, not an error.
+    For each monomial and each ordered pair (i, j) of the points it
+    involves, i = j included, the hash of (|coeff|, total degree, local
+    data at i, local data at j, exponent of a(i,j)) is added to a sum for
+    (i, j); the local data at a point are its x exponent and the sorted
+    exponents of the a(.,.) at it.  A member p maps the monomials of poly
+    onto themselves keeping all of that, so w[q i][q j] = w[i][j] for
+    q = p^{-1}.  On symmetric generators p multiplies every coefficient by
+    the same s (+1, or sgn p for SSym), so positive and negative terms get
+    a sum each, kept as an ordered pair, or as an unordered one for SSym.
+    On skew generators p can flip single terms, and there is one sum.
+    Equal multisets give equal sums: a hash collision can only merge two
+    colours, never split one.
+    """
+    tables = ([[0] * m for _ in range(m)], [[0] * m for _ in range(m)])  # coeff > 0, < 0
+    for mono, coeff in poly._terms.items():
+        x_exp: dict[int, int] = {}
+        a_exp: dict[int, dict[int, int]] = {}  # point -> {other end: exponent}
+        degree = 0
+        for v, e in mono:
+            degree += e
+            if v[0] == "x":
+                x_exp[v[1] - 1] = e
+            else:
+                i, j = v[1] - 1, v[2] - 1
+                a_exp.setdefault(i, {})[j] = e
+                a_exp.setdefault(j, {})[i] = e
+        c = hash((abs(coeff), degree))
+        local = [
+            (i, hash((c, x_exp.get(i, 0), *sorted(a_exp.get(i, {}).values()))), a_exp.get(i, {}))
+            for i in x_exp.keys() | a_exp.keys()
+        ]
+        w = tables[not skew and coeff < 0]
+        for i, li, ends in local:
+            row = w[i]
+            for j, lj, _ in local:
+                row[j] += hash((li, lj, ends.get(j, 0)))
+    pos, neg = tables
+    if skew:
+        return pos
+    if signed:
+        return [[hash((min(a, b), max(a, b))) for a, b in zip(r, s)] for r, s in zip(pos, neg)]
+    return [[hash((a, b)) for a, b in zip(r, s)] for r, s in zip(pos, neg)]
+
+
+def symmetry_group(poly: Poly, m: int, mode: str, signed: bool = False) -> GroupReport:
+    """Sym (signed=False) or SSym (signed=True) of poly in S_m, m <= SYM_CAP.
+
+    A backtrack over the images of q = p^{-1}, one point at a time in the
+    order 1..m and each point's image in increasing order, so the leaves
+    come in lexicographic order (McKay & Piperno, JSC 60, 2014; Leon,
+    JSC 12, 1991).  Two rules prune it:
+
+    * Colours.  A member keeps the pair colours of `_pair_colours`, so a
+      branch dies as soon as a new point's colours against the points
+      placed before it disagree.
+    * Cosets.  The members found so far generate a group H, which
+      `close_right` keeps closed as it grows.  A coset q o H holds only
+      members or only non-members (were q o h a member, q would be one
+      too), so only the least element of each coset is tested.  It
+      maps each point k below the rest of k's orbit under the h in H that
+      fix 1..k-1.  So a point's image must exceed the images of the
+      earlier points whose orbit holds it, and must leave enough free
+      images above it for its own orbit.
+
+    A leaf already in H is skipped; any other leaf gets the early-exit
+    `_is_member` test, and a member joins the generators of H.
+    The least element of a member's coset is a member and passes both
+    rules, so H holds every member the search has passed, and at the end
+    H is the whole group.  It is closed under inverses, so the q found are
+    also the p.  `make_group_report` certifies the result exactly.  A
+    constant polynomial (zero included) is fixed by everything, so the
+    full S_m comes back: that is the definition doing its job, not an
+    error.
     """
     _check_mode(mode)
     _check_indices(poly, m)
+    check_sym_size(m)
     skew = mode == SKEW_GENS
-    members = [p for p in enumerate_sym(m) if _is_member(p, poly, skew, signed)]
-    return make_group_report(members, m)
+    w = _pair_colours(poly, m, skew, signed)
+    group = {identity(m).images}
+    gens: list[tuple[int, ...]] = []
+    orbit = [{k} for k in range(m)]  # orbit[k]: of k under the h in H fixing 0..k-1
+    below = [[] for _ in range(m)]  # below[j]: the k with j in orbit[k], j != k
+
+    def leaf(q: tuple[int, ...]) -> None:
+        if q in group or not _is_member(q, poly, skew, signed):
+            return
+        old = set(group)
+        gens.append(q)
+        first = [tuple([h[v - 1] for v in q]) for h in old]
+        group.update(first)
+        close_right(group, first, gens)
+        for h in group - old:
+            k = next(i for i in range(m) if h[i] != i + 1)  # h fixes 0..k-1
+            j = h[k] - 1
+            if j not in orbit[k]:
+                orbit[k].add(j)
+                below[j].append(k)
+
+    q = [0] * m  # q[k] is the 0-based image of point k
+    free = [True] * m
+
+    def extend(k: int) -> None:
+        if k == m:
+            leaf(tuple([v + 1 for v in q]))
+            return
+        wk = w[k]
+        colour, against = wk[k], wk[:k]
+        placed = q[:k]
+        for v in range(m):
+            wv = w[v]
+            if not free[v] or wv[v] != colour or [wv[u] for u in placed] != against:
+                continue
+            if any(q[i] > v for i in below[k]) or free[v + 1:].count(True) < len(orbit[k]) - 1:
+                continue
+            free[v] = False
+            q[k] = v
+            extend(k + 1)
+            free[v] = True
+
+    extend(0)
+    return make_group_report([Permutation(h) for h in sorted(group)], m)
 
 
 def pfaffian_symmetry_group(
@@ -259,7 +371,7 @@ def _cut_search(m: int, signed: bool) -> set[Permutation]:
 
 
 def sym_of_g(two_n: int) -> GroupReport:
-    """Brute-force symmetry group of the cycle product g.
+    """Symmetry group of the cycle product g, by the backtrack of `symmetry_group`.
 
     The positions x_i are relabeled by the same action as the generators,
     so this is symmetry_group(g_poly(two_n), two_n, SYMMETRIC_GENS).

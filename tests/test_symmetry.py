@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,11 +15,13 @@ from pfsym.permutations import (
     identity,
 )
 from pfsym.polyring import Poly, a, x
+from pfsym import symmetry
 from pfsym.symmetry import (
     SKEW_GENS,
     SYMMETRIC_GENS,
     _check_closure,
     _is_member,
+    _pair_colours,
     act,
     dihedral_group,
     make_group_report,
@@ -104,8 +107,10 @@ def test_symmetry_group_of_constant():
 
 
 def test_symmetry_group_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^m=9 exceeds the enumeration cap 8$"):
         symmetry_group(PF4, 9, SYMMETRIC_GENS)
+    with pytest.raises(ValueError, match="^m must be >= 1, got 0$"):
+        symmetry_group(Poly.const(1), 0, SYMMETRIC_GENS)
 
 
 def test_symmetry_group_checks_indices_before_the_scan():
@@ -315,7 +320,7 @@ def _twisted_sum(f, group, mode, signed):
 
 
 def _bump_last(f):
-    """f with the coefficient of the monomial a scan visits last doubled."""
+    """f with the coefficient of the monomial the membership test visits last doubled."""
     terms = dict(f._terms)
     last = list(terms)[-1]
     terms[last] *= 2
@@ -337,7 +342,14 @@ def _membership_cases(m, rng):
         yield g_poly(m)
 
 
-@pytest.mark.parametrize("m", [4, 5])
+def _scan(poly, m, mode, signed):
+    """The oracle: every q = p^{-1} in S_m through the early-exit membership test."""
+    skew = mode == SKEW_GENS
+    found = [q for q in itertools.permutations(range(1, m + 1)) if _is_member(q, poly, skew, signed)]
+    return tuple(sorted(Permutation(q).inverse() for q in found))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_early_exit_membership_matches_full_image(m):
     rng = random.Random(100 + m)
     sm = list(enumerate_sym(m))
@@ -347,9 +359,9 @@ def test_early_exit_membership_matches_full_image(m):
     ]
 
     def check(poly, mode, signed):
-        want = tuple(p for p in sm if _acts_as(p, poly, mode, signed))
-        got = tuple(p for p in sm if _is_member(p, poly, mode == SKEW_GENS, signed))
-        assert got == want, (poly, mode, signed)
+        want = _scan(poly, m, mode, signed)
+        if m <= 5:  # building every image is the costly part of the oracle
+            assert want == tuple(p for p in sm if _acts_as(p, poly, mode, signed)), (poly, mode, signed)
         assert symmetry_group(poly, m, mode, signed).elements == want
         return want
 
@@ -366,3 +378,53 @@ def test_early_exit_membership_matches_full_image(m):
                         # members of `fixed` that move the last monomial fail only there
                         last_decides += len(check(_bump_last(fixed), mode, signed)) < len(whole)
     assert nontrivial >= 30 and last_decides >= 5, (nontrivial, last_decides)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_pair_colours_are_invariant_under_members(m):
+    # w[q i][q j] = w[i][j] for every member p = q^{-1}: a colour never splits a member
+    rng = random.Random(200 + m)
+    for f in _membership_cases(m, rng):
+        for mode in (SYMMETRIC_GENS, SKEW_GENS):
+            for signed in (False, True):
+                w = _pair_colours(f, m, mode == SKEW_GENS, signed)
+                for p in _scan(f, m, mode, signed):
+                    q = p.inverse().images
+                    assert all(w[q[i] - 1][q[j] - 1] == w[i][j] for i in range(m) for j in range(m))
+
+
+def test_backtrack_matches_the_scan_at_order_eight():
+    for poly in (g_poly(8), generic_pfaffian(8)):
+        assert symmetry_group(poly, 8, SYMMETRIC_GENS).elements == _scan(poly, 8, SYMMETRIC_GENS, False)
+
+
+@pytest.fixture
+def membership_tests(monkeypatch):
+    """A counter of the membership tests that symmetry_group makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return _is_member(*args)
+
+    monkeypatch.setattr(symmetry, "_is_member", counted)
+    return calls
+
+
+def test_skew_pfaffian_at_order_eight_is_a8(membership_tests):
+    # the sign character: pf(P^T A P) = det P pf A, listed in closed form
+    got = symmetry_group(generic_pfaffian(8), 8, SKEW_GENS)
+    assert got.elements == pfaffian_symmetry_group(8, SKEW_GENS).elements
+    assert got.order == 20160
+    assert len(membership_tests) < 50  # a scan makes 40320
+
+
+def test_backtrack_prunes_membership_tests(membership_tests):
+    # a scan of S_6 makes 720 tests
+    for signed in (False, True):
+        membership_tests.clear()
+        symmetry_group(generic_pfaffian(6), 6, SKEW_GENS, signed)
+        assert len(membership_tests) < 50, signed
+    membership_tests.clear()
+    assert symmetry_group(g_poly(6), 6, SYMMETRIC_GENS).order == 12
+    assert len(membership_tests) <= 12
