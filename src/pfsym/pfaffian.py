@@ -172,6 +172,20 @@ def parse_square_json(obj: dict) -> tuple[int, str, dict]:
     return size, mode, entries
 
 
+def _refuse_floats_beside_polys(entries: Mapping[tuple[int, int], object]) -> None:
+    """Raise ValueError, naming the first float entry, if entries mix Poly and float.
+
+    Poly coefficients are exact, so a float has no place in a polynomial
+    array: turning it into a binary fraction would hide an inexact input.
+    """
+    if any(isinstance(v, Poly) for v in entries.values()):
+        for (i, j), v in sorted(entries.items()):
+            if isinstance(v, float):
+                raise ValueError(
+                    f"entry '{i},{j}' is the float {v!r}; an array with polynomial entries takes exact scalars only"
+                )
+
+
 # -- pfaffians ---------------------------------------------------------------
 
 
@@ -183,12 +197,14 @@ def pfaffian_direct(arr: TriangularArray):
     by pivoted skew elimination (`_pf_eliminate`), in floats if any entry
     is a float and in Fractions otherwise; the result is a float, an int
     (all entries ints) or a Fraction.  Any other scalar, such as Poly,
-    takes the memoized expansion `_subset_pf`, for 2n up to HARD_CAP.
+    takes the memoized expansion `_subset_pf`, for 2n up to HARD_CAP; an
+    array that mixes Poly and float entries is a ValueError.
     """
     if arr.two_n == 0:
         return 1
     values = arr.entries.values()
     if any(isinstance(v, bool) or not isinstance(v, (int, Fraction, float)) for v in values):
+        _refuse_floats_beside_polys(arr.entries)
         if arr.two_n > HARD_CAP:
             raise ValueError(f"two_n={arr.two_n} exceeds the enumeration cap {HARD_CAP}")
         return _subset_pf(arr, tuple(range(1, arr.two_n + 1)), {})
@@ -269,7 +285,7 @@ def generic_pfaffian(two_n: int) -> Poly:
     terms = {}
     for m, s in enumerate_pfaff(two_n):
         mono = tuple((gen(i, j), 1) for i, j in m.pairs)
-        terms[mono] = Fraction(s)
+        terms[mono] = s
     return Poly(terms)
 
 
@@ -314,6 +330,7 @@ def _hook_expand(arr: TriangularArray, s: int, mode: str):
         raise ValueError(f"{mode} hook expansion needs a {mode} array, got mode {arr.mode!r}")
     if not 1 <= s <= arr.two_n:
         raise IndexError(f"hook {s} outside 1..{arr.two_n}")
+    _refuse_floats_beside_polys(arr.entries)
     memo: dict = {}
     live = tuple(range(1, arr.two_n + 1))
     total = None
@@ -343,12 +360,14 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     """Determinant of the size x size completion; `size` may be odd.
 
     This is the entry point for square matrices built from a triangular
-    half by symmetry or skew-symmetry, with zero diagonal.
+    half by symmetry or skew-symmetry, with zero diagonal.  Entries that
+    mix Poly and float are a ValueError.
     """
     if mode not in (SYMMETRIC, SKEW):
         raise ValueError(f"mode must be symmetric or skew, got {mode!r}")
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    _refuse_floats_beside_polys(entries)
     flip = -1 if mode == SKEW else 1
     rows = []
     for i in range(1, size + 1):

@@ -4,8 +4,14 @@ Two variable families: generators a(i,j) with i < j, and positions x(i).
 A variable is a plain tuple, ("a", i, j) or ("x", i); a monomial is a
 tuple of (variable, exponent) pairs sorted in the canonical variable
 order (positions before generators, then by index); a polynomial maps
-monomials to nonzero Fraction coefficients.  All arithmetic is exact and
-all representations are canonical, so equality is plain dict equality.
+monomials to nonzero rational coefficients.  A coefficient is stored as
+a Python int when it is integral and as a Fraction only when it is not,
+so the arithmetic on integer polynomials never builds a Fraction; the
+public accessors `terms` and `coefficient` return Fractions either way.
+A sum or product that lands on an integer may stay a Fraction, which is
+harmless: 3 and Fraction(3) are equal, hash alike and print alike.  All
+arithmetic is exact (floats and booleans are refused as coefficients),
+and monomials are canonical, so equality is plain dict equality.
 """
 from __future__ import annotations
 
@@ -49,27 +55,46 @@ def var_text(v: Var) -> str:
     return f"x{v[1]}" if v[0] == "x" else f"a({v[1]},{v[2]})"
 
 
+def _exact(c) -> Scalar:
+    """The coefficient c as an int when integral, else as a Fraction.
+
+    Takes ints, Fractions and rational strings ("p/q"); floats, booleans
+    and anything else are a ValueError, so no binary fraction gets in.
+    """
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction, str)):
+        raise ValueError(f"coefficient {c!r} is not exact (need an int, a Fraction or a 'p/q' string)")
+    if isinstance(c, int):
+        return c
+    if isinstance(c, str):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _mono_key(mono: Monomial) -> tuple:
     # graded, then lexicographic on the variable sequence
     return (sum(e for _, e in mono), tuple((_var_key(v), e) for v, e in mono))
 
 
 class Poly:
-    """Immutable polynomial with Fraction coefficients."""
+    """Immutable polynomial with exact rational coefficients.
+
+    Integral coefficients are stored as ints, the others as Fractions;
+    `terms` and `coefficient` return Fractions.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff == 0:
                     continue
                 mono = tuple(sorted(((_check_var(v), e) for v, e in mono), key=lambda p: _var_key(p[0])))
                 if any(e < 1 for _, e in mono):
                     raise ValueError(f"exponents must be positive: {mono!r}")
-                clean[mono] = clean.get(mono, Fraction(0)) + coeff
+                clean[mono] = clean.get(mono, 0) + coeff
                 if clean[mono] == 0:
                     del clean[mono]
         self._terms = clean
@@ -82,7 +107,8 @@ class Poly:
 
     @classmethod
     def const(cls, c: Scalar) -> Poly:
-        return cls({(): c})
+        c = _exact(c)
+        return _raw({(): c} if c else {})
 
     @classmethod
     def variable(cls, v: Var) -> Poly:
@@ -91,11 +117,12 @@ class Poly:
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in the canonical graded-lex order."""
-        return sorted(self._terms.items(), key=lambda t: _mono_key(t[0]))
+        """Terms in the canonical graded-lex order, with Fraction coefficients."""
+        ordered = sorted(self._terms.items(), key=lambda t: _mono_key(t[0]))
+        return [(mono, Fraction(c)) for mono, c in ordered]
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+        return Fraction(self._terms.get(mono, 0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -116,11 +143,10 @@ class Poly:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.const(other)
-        return NotImplemented
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._terms == other._terms
 
     __hash__ = None  # mutable-looking container semantics; not hashable
 
@@ -131,12 +157,13 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._terms)
+        get = out.get
         for mono, coeff in other._terms.items():
-            acc = out.get(mono, Fraction(0)) + coeff
-            if acc == 0:
-                out.pop(mono, None)
-            else:
+            acc = get(mono, 0) + coeff
+            if acc:
                 out[mono] = acc
+            else:
+                del out[mono]
         return _raw(out)
 
     __radd__ = __add__
@@ -154,22 +181,24 @@ class Poly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, Poly):
+            if not _is_scalar(other):
+                return NotImplemented
+            c = _exact(other)
             if c == 0:
                 return Poly.zero()
             return _raw({mono: coeff * c for mono, coeff in self._terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
+        get = out.get
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _mono_mul(m1, m2)
-                acc = out.get(mono, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    out.pop(mono, None)
-                else:
+                acc = get(mono, 0) + c1 * c2
+                if acc:
                     out[mono] = acc
+                else:
+                    # c1 * c2 != 0, so a zero sum cancels a stored term
+                    del out[mono]
         return _raw(out)
 
     __rmul__ = __mul__
@@ -201,7 +230,7 @@ class Poly:
                 else:
                     kept.append((v, e))
             if kept:
-                term = term * _raw({tuple(kept): Fraction(1)})
+                term = term * _raw({tuple(kept): 1})
             out = out + term
         return out
 
@@ -261,9 +290,9 @@ class Poly:
 
     @classmethod
     def from_json_obj(cls, obj: Iterable[dict]) -> Poly:
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for record in obj:
-            coeff = Fraction(record["coeff"])
+            coeff = _exact(record["coeff"])
             mono = []
             for entry in record["vars"]:
                 family, *rest = entry
@@ -274,21 +303,26 @@ class Poly:
                 else:
                     raise ValueError(f"bad variable record: {entry!r}")
             mono = tuple(sorted(mono, key=lambda p: _var_key(p[0])))
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+            terms[mono] = terms.get(mono, 0) + coeff
         return cls(terms)
 
 
-def _raw(terms: dict[Monomial, Fraction]) -> Poly:
+def _raw(terms: dict[Monomial, Scalar]) -> Poly:
     # internal fast path: terms are already canonical
     p = Poly.__new__(Poly)
     p._terms = terms
     return p
 
 
+def _is_scalar(value) -> bool:
+    # the exact scalars that mix with polynomials in arithmetic
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 def _as_poly(value) -> Poly:
     if isinstance(value, Poly):
         return value
-    if isinstance(value, (int, Fraction)):
+    if _is_scalar(value):
         return Poly.const(value)
     return NotImplemented
 
@@ -306,9 +340,19 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if not m2:
         return m1
     merged = dict(m1)
+    get = merged.get
     for v, e in m2:
-        merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items(), key=lambda p: _var_key(p[0])))
+        merged[v] = get(v, 0) + e
+    # The variables are distinct, so plain tuple order sorts each family by
+    # index, but it puts every ("a", ...) before every ("x", ...): a monomial
+    # with both families is rotated once to bring the positions first.
+    items = sorted(merged.items())
+    if items[0][0][0] == "a" and items[-1][0][0] == "x":
+        k = 1
+        while items[k][0][0] == "a":
+            k += 1
+        items = items[k:] + items[:k]
+    return tuple(items)
 
 
 def x(i: int) -> Poly:

@@ -293,3 +293,135 @@ def test_verify_seed_independent_of_selection():
 def test_expand_respects_cap():
     code, _, err = invoke("expand", "18")
     assert code == 2 and "cap" in err
+
+
+# -- golden bytes of the Poly paths ---------------------------------------------
+
+# A symmetric 4-point array of polynomials with integral and "1/2"-style
+# coefficients, one rational scalar among them, and x and a variables mixed
+# in one monomial.  The expected stdout below was captured byte for byte
+# from the Fraction-coefficient Poly and must not change.
+POLY_ARRAY = {
+    "two_n": 4,
+    "mode": "symmetric",
+    "entries": {
+        "1,2": [{"coeff": "1/2", "vars": [["x", 1, 1]]}, {"coeff": "1", "vars": []}],
+        "1,3": [{"coeff": "2", "vars": [["x", 2, 1]]}],
+        "1,4": [{"coeff": "-3", "vars": [["a", 1, 2, 1]]}],
+        "2,3": [{"coeff": "1", "vars": [["a", 3, 4, 1], ["x", 1, 1]]}],
+        "2,4": "1/3",
+        "3,4": [{"coeff": "-1/2", "vars": [["x", 3, 2]]}, {"coeff": "4", "vars": [["x", 1, 1], ["x", 3, 1]]}],
+    },
+}
+
+POLY_GOLDEN = {
+    ("det", "text"): (
+        '4/9 * x2^2 - 16/3 * x1 * x2 * x3 + 2/3 * x2 * x3^2 + 1/3 * x1 * x2 * x3^2 + 4 * '
+        'x1 * x2 * a(1,2) * a(3,4) - 4 * x1 * x3^3 - 8/3 * x1^2 * x2 * x3 + 16 * x1^2 * '
+        'x3^2 + 1/4 * x3^4 - 3 * x1 * x3^2 * a(1,2) * a(3,4) + 1/4 * x1 * x3^4 + 24 * '
+        'x1^2 * x3 * a(1,2) * a(3,4) - 4 * x1^2 * x3^3 + 16 * x1^3 * x3^2 - 3/2 * x1^2 * '
+        'x3^2 * a(1,2) * a(3,4) + 1/16 * x1^2 * x3^4 + 9 * x1^2 * a(1,2)^2 * a(3,4)^2 + '
+        '12 * x1^3 * x3 * a(1,2) * a(3,4) - x1^3 * x3^3 + 4 * x1^4 * x3^2\n'
+    ),
+    ("det", "json"): (
+        '{"determinant": [{"coeff": "4/9", "vars": [["x", 2, 2]]}, {"coeff": "-16/3", '
+        '"vars": [["x", 1, 1], ["x", 2, 1], ["x", 3, 1]]}, {"coeff": "2/3", "vars": '
+        '[["x", 2, 1], ["x", 3, 2]]}, {"coeff": "1/3", "vars": [["x", 1, 1], ["x", 2, '
+        '1], ["x", 3, 2]]}, {"coeff": "4", "vars": [["x", 1, 1], ["x", 2, 1], ["a", 1, '
+        '2, 1], ["a", 3, 4, 1]]}, {"coeff": "-4", "vars": [["x", 1, 1], ["x", 3, 3]]}, '
+        '{"coeff": "-8/3", "vars": [["x", 1, 2], ["x", 2, 1], ["x", 3, 1]]}, {"coeff": '
+        '"16", "vars": [["x", 1, 2], ["x", 3, 2]]}, {"coeff": "1/4", "vars": [["x", 3, '
+        '4]]}, {"coeff": "-3", "vars": [["x", 1, 1], ["x", 3, 2], ["a", 1, 2, 1], ["a", '
+        '3, 4, 1]]}, {"coeff": "1/4", "vars": [["x", 1, 1], ["x", 3, 4]]}, {"coeff": '
+        '"24", "vars": [["x", 1, 2], ["x", 3, 1], ["a", 1, 2, 1], ["a", 3, 4, 1]]}, '
+        '{"coeff": "-4", "vars": [["x", 1, 2], ["x", 3, 3]]}, {"coeff": "16", "vars": '
+        '[["x", 1, 3], ["x", 3, 2]]}, {"coeff": "-3/2", "vars": [["x", 1, 2], ["x", 3, '
+        '2], ["a", 1, 2, 1], ["a", 3, 4, 1]]}, {"coeff": "1/16", "vars": [["x", 1, 2], '
+        '["x", 3, 4]]}, {"coeff": "9", "vars": [["x", 1, 2], ["a", 1, 2, 2], ["a", 3, 4, '
+        '2]]}, {"coeff": "12", "vars": [["x", 1, 3], ["x", 3, 1], ["a", 1, 2, 1], ["a", '
+        '3, 4, 1]]}, {"coeff": "-1", "vars": [["x", 1, 3], ["x", 3, 3]]}, {"coeff": "4", '
+        '"vars": [["x", 1, 4], ["x", 3, 2]]}], "mode": "symmetric", "size": 4}\n'
+    ),
+    ("eval", "text"): (
+        '-2/3 * x2 + 4 * x1 * x3 - 1/2 * x3^2 - 1/4 * x1 * x3^2 - 3 * x1 * a(1,2) * '
+        'a(3,4) + 2 * x1^2 * x3\n'
+    ),
+    ("eval", "json"): (
+        '{"mode": "symmetric", "pfaffian": [{"coeff": "-2/3", "vars": [["x", 2, 1]]}, '
+        '{"coeff": "4", "vars": [["x", 1, 1], ["x", 3, 1]]}, {"coeff": "-1/2", "vars": '
+        '[["x", 3, 2]]}, {"coeff": "-1/4", "vars": [["x", 1, 1], ["x", 3, 2]]}, '
+        '{"coeff": "-3", "vars": [["x", 1, 1], ["a", 1, 2, 1], ["a", 3, 4, 1]]}, '
+        '{"coeff": "2", "vars": [["x", 1, 2], ["x", 3, 1]]}], "two_n": 4}\n'
+    ),
+    ("eval --hook 2", "text"): (
+        '-2/3 * x2 + 4 * x1 * x3 - 1/2 * x3^2 - 1/4 * x1 * x3^2 - 3 * x1 * a(1,2) * '
+        'a(3,4) + 2 * x1^2 * x3\n'
+    ),
+    ("eval --hook 2", "json"): (
+        '{"mode": "symmetric", "pfaffian": [{"coeff": "-2/3", "vars": [["x", 2, 1]]}, '
+        '{"coeff": "4", "vars": [["x", 1, 1], ["x", 3, 1]]}, {"coeff": "-1/2", "vars": '
+        '[["x", 3, 2]]}, {"coeff": "-1/4", "vars": [["x", 1, 1], ["x", 3, 2]]}, '
+        '{"coeff": "-3", "vars": [["x", 1, 1], ["a", 1, 2, 1], ["a", 3, 4, 1]]}, '
+        '{"coeff": "2", "vars": [["x", 1, 2], ["x", 3, 1]]}], "two_n": 4}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(POLY_GOLDEN))
+def test_poly_array_output_is_golden(tmp_path, capsys, command, fmt):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(POLY_ARRAY))
+    verb, *rest = command.split()
+    assert run([verb, str(path), *rest, "--format", fmt]) == 0
+    assert capsys.readouterr().out == POLY_GOLDEN[(command, fmt)]
+
+
+def test_expand_json_is_golden(capsys):
+    assert run(["expand", "4", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"pfaffian": [{"coeff": "1", "vars": [["a", 1, 2, 1], ["a", 3, 4, 1]]}, '
+        '{"coeff": "-1", "vars": [["a", 1, 3, 1], ["a", 2, 4, 1]]}, {"coeff": "1", '
+        '"vars": [["a", 1, 4, 1], ["a", 2, 3, 1]]}], "two_n": 4}\n'
+    )
+
+
+# -- floats and booleans are not polynomial coefficients -------------------------
+
+
+def _mixed_array_file(tmp_path):
+    entries = {f"{i},{j}": "1" for i, j in upper_pairs(4)}
+    entries["1,2"] = [{"coeff": "1", "vars": [["x", 1, 1]]}]
+    entries["1,3"] = 0.5
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"two_n": 4, "mode": "skew", "entries": entries}))
+    return path
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["eval", "--hook", "2"], ["det"]])
+def test_poly_and_float_array_is_refused(tmp_path, capsys, argv):
+    path = _mixed_array_file(tmp_path)
+    assert run([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: entry '1,3' is the float 0.5; an array with polynomial entries takes exact scalars only\n"
+    )
+
+
+@pytest.mark.parametrize("coeff", [0.1, True])
+def test_sym_refuses_an_inexact_coefficient(tmp_path, coeff):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps([{"coeff": coeff, "vars": [["x", 1, 1]]}]))
+    code, out, err = invoke("sym", str(path), "--m", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: coefficient ") and "not exact" in err
+    assert "Traceback" not in err
+
+
+def test_array_entry_with_a_float_coefficient_is_refused(tmp_path, capsys):
+    entries = {f"{i},{j}": "1" for i, j in upper_pairs(4)}
+    entries["1,2"] = [{"coeff": 0.5, "vars": [["x", 1, 1]]}]
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"two_n": 4, "mode": "skew", "entries": entries}))
+    assert run(["det", str(path)]) == 2
+    assert "entry '1,2': bad polynomial scalar: coefficient 0.5 is not exact" in capsys.readouterr().err

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pfsym.polyring import Poly, a, gen, pos, x
+from pfsym.polyring import Poly, _var_key, a, gen, pos, x
 
 
 def random_poly(rng: random.Random, nvars: int = 3, nterms: int = 4) -> Poly:
@@ -193,3 +193,153 @@ def test_canonical_term_order():
     monos = [mono for mono, _ in p.terms()]
     texts = [" ".join(f"{v}^{e}" for v, e in mono) for mono in monos]
     assert texts == ["", "('x', 3)^1", "('a', 1, 2)^1", "('x', 1)^1 ('x', 2)^1"]
+
+
+# -- integer storage against a definitional Fraction reference ---------------
+
+
+def random_mixed_terms(rng: random.Random, denominators=(1, 1, 2, 3)) -> dict:
+    """Canonical terms with Fraction coefficients, integral and not, and
+    monomials that mix x and a variables."""
+    pool = [pos(1), pos(2), pos(3), gen(1, 2), gen(1, 3), gen(2, 3)]
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        exps = {v: rng.randint(1, 3) for v in rng.sample(pool, rng.randint(0, 4))}
+        coeff = Fraction(rng.randint(-6, 6), rng.choice(denominators))
+        if coeff != 0:
+            terms[canonical_mono(exps)] = coeff
+    return terms
+
+
+def canonical_mono(exps: dict) -> tuple:
+    return tuple(sorted(exps.items(), key=lambda t: _var_key(t[0])))
+
+
+def reference_product(p: dict, q: dict) -> dict:
+    """p * q by the definition: Fraction coefficients, monomials sorted by _var_key."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            mono = canonical_mono(exps)
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    return {mono: c for mono, c in out.items() if c != 0}
+
+
+def reference_sum(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for mono, c in q.items():
+        out[mono] = out.get(mono, Fraction(0)) + c
+    return {mono: c for mono, c in out.items() if c != 0}
+
+
+def reference_json(terms: dict) -> list[dict]:
+    order = sorted(terms, key=lambda mono: (sum(e for _, e in mono), [(_var_key(v), e) for v, e in mono]))
+    return [{"coeff": str(terms[mono]), "vars": [[*v, e] for v, e in mono]} for mono in order]
+
+
+def test_product_and_sum_match_the_fraction_reference():
+    rng = random.Random(17)
+    mixed = 0
+    for _ in range(200):
+        p, q = random_mixed_terms(rng), random_mixed_terms(rng)
+        P, Q = Poly(p), Poly(q)
+        for got, ref in ((P * Q, reference_product(p, q)), (P + Q, reference_sum(p, q))):
+            assert got == Poly(ref)
+            assert got.to_json_obj() == reference_json(ref)
+            assert dict(got.terms()) == ref
+            for mono in got._terms:
+                assert list(mono) == sorted(mono, key=lambda t: _var_key(t[0]))
+                mixed += {v[0] for v, _ in mono} == {"x", "a"}
+            assert all(type(c) is Fraction for _, c in got.terms())
+            assert all(type(got.coefficient(mono)) is Fraction for mono in ref)
+    assert mixed > 100  # the rotation of mixed monomials was exercised
+
+
+def test_integral_coefficients_are_stored_as_ints(rng):
+    for _ in range(30):
+        p, q = Poly(random_mixed_terms(rng, (1,))), Poly(random_mixed_terms(rng, (1,)))
+        for r in (p, q, p + q, p - q, p * q, p * Fraction(4, 2), -p, p ** 2):
+            assert all(type(c) is int for c in r._terms.values())
+    assert type(Poly({((pos(1), 1),): Fraction(6, 3)})._terms[((pos(1), 1),)]) is int
+    assert type(Poly.from_json_obj([{"coeff": "4/2", "vars": []}])._terms[()]) is int
+    assert type(Poly.const(Fraction(-3))._terms[()]) is int
+    assert type(Poly.const(Fraction(1, 2))._terms[()]) is Fraction
+
+
+def test_const_of_an_integral_fraction_is_the_int():
+    half = Poly.const(Fraction(4, 2))
+    assert half == Poly.const(2) == 2
+    assert half.to_json_obj() == Poly.const(2).to_json_obj() == [{"coeff": "2", "vars": []}]
+    assert str(half) == str(Poly.const(2)) == "2"
+    assert type(half.coefficient(())) is Fraction
+    assert x(1).coefficient(((pos(2), 1),)) == 0
+    assert type(x(1).coefficient(((pos(2), 1),))) is Fraction
+
+
+# -- floats and booleans are not coefficients --------------------------------
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, False, None, [1]])
+def test_inexact_coefficients_are_refused(bad):
+    with pytest.raises(ValueError, match="not exact"):
+        Poly({((pos(1), 1),): bad})
+    with pytest.raises(ValueError, match="not exact"):
+        Poly.const(bad)
+    with pytest.raises(ValueError, match="not exact"):
+        Poly.from_json_obj([{"coeff": bad, "vars": [["x", 1, 1]]}])
+
+
+def test_exact_coefficients_are_accepted():
+    assert Poly.const("3/6") == Poly.const(Fraction(1, 2))
+    assert Poly.from_json_obj([{"coeff": 3, "vars": []}]) == 3
+    assert Poly({(): "-4"}) == -4
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_arithmetic_with_a_float_or_bool_is_a_type_error(bad):
+    with pytest.raises(TypeError):
+        x(1) * bad
+    with pytest.raises(TypeError):
+        bad * x(1)
+    with pytest.raises(TypeError):
+        x(1) + bad
+
+
+def _poly_and_float_array(mode: str):
+    from pfsym.pfaffian import TriangularArray, upper_pairs
+
+    entries = {p: Fraction(1) for p in upper_pairs(4)}
+    entries[(1, 2)] = x(1)
+    entries[(1, 3)] = 0.5
+    entries[(2, 4)] = 0.25
+    return TriangularArray(4, mode, entries)
+
+
+def test_pfaffian_refuses_poly_and_float_entries():
+    from pfsym.pfaffian import (
+        completed_determinant,
+        hook_expand_skew,
+        hook_expand_symmetric,
+        pfaffian_direct,
+    )
+
+    message = r"entry '1,3' is the float 0\.5"
+    for mode, hook in (("skew", hook_expand_skew), ("symmetric", hook_expand_symmetric)):
+        arr = _poly_and_float_array(mode)
+        with pytest.raises(ValueError, match=message):
+            pfaffian_direct(arr)
+        with pytest.raises(ValueError, match=message):
+            hook(arr, 2)
+        with pytest.raises(ValueError, match=message):
+            completed_determinant(4, mode, arr.entries)
+
+
+def test_kernel_array_refuses_a_float_beside_a_poly_position():
+    from pfsym.models import SQUARE_DIFF, kernel_array
+
+    with pytest.raises(ValueError, match="not exact"):
+        kernel_array(SQUARE_DIFF, [x(1), 0.5])
+    assert kernel_array(SQUARE_DIFF, [x(1), Fraction(1, 2)]).entries[(1, 2)] == (x(1) - Fraction(1, 2)) ** 2
