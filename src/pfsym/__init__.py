@@ -4,7 +4,7 @@ under symmetric or skew generator conventions.
 """
 
 from . import backend  # noqa: F401  (perfbench finds its traced backend.* layers in sys.modules)
-from .matchings import PfaffPermutation, enumerate_pfaff, matching_count, matching_sign
+from .matchings import PfaffPermutation, enumerate_pfaff, matching_count
 from .models import (
     COSINE,
     SQUARE_DIFF,

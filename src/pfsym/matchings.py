@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .permutations import Permutation
-
 HARD_CAP = 16
 
 
@@ -54,15 +52,6 @@ class PfaffPermutation:
     def __repr__(self) -> str:
         body = "".join(f"({i},{j})" for i, j in self.pairs)
         return f"PfaffPermutation[{body}]"
-
-
-def matching_sign(m: PfaffPermutation) -> int:
-    """Sign of the flattened matching, by a full inversion count.
-
-    This is the slow, definitional route; the enumerator below tracks the
-    same sign incrementally and is checked against this one in the tests.
-    """
-    return Permutation(m.flatten()).sign
 
 
 def _matchings(free: tuple[int, ...]) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .pfaffian import SYMMETRIC, TriangularArray, pfaffian_direct
-from .polyring import Poly, pos, x
+from .polyring import Poly, _exact, pos, x
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,16 @@ class DifferenceKernel:
     """psi(x, y) = phi(x - y) for a polynomial phi with rational coefficients.
 
     Translation invariant by construction; symmetric iff phi is even.
+    The coefficients c0, c1, ... of phi follow the Poly rule (ints,
+    Fractions or "p/q" strings; a float or a boolean is a ValueError) and
+    are stored as Fractions.
     """
 
     numeric_only = False
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(Fraction(_exact(c, f"kernel coefficient c{k} =")) for k, c in enumerate(coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         self.coeffs = coeffs

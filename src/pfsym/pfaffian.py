@@ -12,8 +12,9 @@ work, and the arithmetic never leaves the scalar domain.  Float and
 rational arrays are evaluated by pivoted skew elimination in O(n^3)
 operations; other scalars, such as Poly, by the memoized expansion along
 the first row (`_subset_pf`, the kernel of the hook expansions), up to
-2n = 16.  The sum over matchings `_pfaffian_sum` is the definitional
-oracle the tests check both routes against.
+2n = 16.  Poly determinants take the same kernel, on the skew embedding
+[[0, M], [-M^T, 0]].  The definitional oracles, the sum over matchings
+and the cofactor expansion, live with the tests (`tests/pf_oracles.py`).
 """
 from __future__ import annotations
 
@@ -197,8 +198,9 @@ def pfaffian_direct(arr: TriangularArray):
     by pivoted skew elimination (`_pf_eliminate`), in floats if any entry
     is a float and in Fractions otherwise; the result is a float, an int
     (all entries ints) or a Fraction.  Any other scalar, such as Poly,
-    takes the memoized expansion `_subset_pf`, for 2n up to HARD_CAP; an
-    array that mixes Poly and float entries is a ValueError.
+    takes the memoized expansion `_subset_pf`, for 2n up to HARD_CAP, and
+    an array with a Poly entry gives a Poly; an array that mixes Poly and
+    float entries is a ValueError.
     """
     if arr.two_n == 0:
         return 1
@@ -207,7 +209,7 @@ def pfaffian_direct(arr: TriangularArray):
         _refuse_floats_beside_polys(arr.entries)
         if arr.two_n > HARD_CAP:
             raise ValueError(f"two_n={arr.two_n} exceeds the enumeration cap {HARD_CAP}")
-        return _subset_pf(arr, tuple(range(1, arr.two_n + 1)), {})
+        return _keep_poly(_subset_pf(arr.entries, tuple(range(1, arr.two_n + 1)), {}), arr.entries)
     if any(isinstance(v, float) for v in values):
         return _pf_eliminate(arr, float)
     value = _pf_eliminate(arr, Fraction)
@@ -262,22 +264,6 @@ def _pf_eliminate(arr: TriangularArray, cast):
     return result
 
 
-def _pfaffian_sum(arr: TriangularArray):
-    # definitional test oracle, generic over the scalar domain
-    if arr.two_n == 0:
-        return 1
-    entries = arr.entries
-    total = None
-    for m, s in enumerate_pfaff(arr.two_n):
-        prod = None
-        for pair in m.pairs:
-            e = entries[pair]
-            prod = e if prod is None else prod * e
-        term = prod if s == 1 else -prod
-        total = term if total is None else total + term
-    return total
-
-
 def generic_pfaffian(two_n: int) -> Poly:
     """The pfaffian with generator entries a(i,j), as a polynomial."""
     if two_n == 0:
@@ -289,27 +275,32 @@ def generic_pfaffian(two_n: int) -> Poly:
     return Poly(terms)
 
 
-def _subset_pf(arr: TriangularArray, live: tuple[int, ...], memo: dict):
+def _subset_pf(entries: Mapping[tuple[int, int], object], live: tuple[int, ...], memo: dict):
     """Pfaffian of the sub-array on the (sorted) index subset `live`.
 
     Expands along the first live hook; relative positions within `live`
     play the role of indices in the relabeled sub-array.  Uses only upper
-    entries, so it is valid in every mode.  `memo` caches each subset's
-    pfaffian across the calls of one hook expansion.
+    entries, so it is valid in every mode.  Zero entries are skipped, and
+    a hook whose entries are all zero gives its last entry, so the result
+    stays in the scalar domain of the entries.  `memo` caches each
+    subset's pfaffian across the calls of one expansion.
     """
     if not live:
         return 1
     if live in memo:
         return memo[live]
-    entries = arr.entries
     i = live[0]
     total = None
     for t in range(1, len(live)):
-        j = live[t]
-        term = entries[(i, j)] * _subset_pf(arr, live[1:t] + live[t + 1 :], memo)
+        e = entries[(i, live[t])]
+        if not e:
+            continue
+        term = e * _subset_pf(entries, live[1:t] + live[t + 1 :], memo)
         if t % 2 == 0:
             term = -term
         total = term if total is None else total + term
+    if total is None:
+        total = e
     memo[live] = total
     return total
 
@@ -338,12 +329,24 @@ def _hook_expand(arr: TriangularArray, s: int, mode: str):
         if j == s:
             continue
         rest = tuple(k for k in live if k != s and k != j)
-        term = arr.lookup(s, j) * _subset_pf(arr, rest, memo)
+        term = arr.lookup(s, j) * _subset_pf(arr.entries, rest, memo)
         shift = heaviside(s - j) if mode == SKEW else 0
         if (s + j + 1 + shift) % 2 != 0:
             term = -term
         total = term if total is None else total + term
-    return total
+    return _keep_poly(total, arr.entries)
+
+
+def _keep_poly(value, entries: Mapping[tuple[int, int], object]):
+    """`value` as a Poly if any entry is one.
+
+    `_subset_pf` skips zero entries, so when every Poly entry on the way is
+    zero the result can be an int or a Fraction; a Poly input still gives
+    a Poly, and prints as one.
+    """
+    if isinstance(value, Poly) or not any(isinstance(v, Poly) for v in entries.values()):
+        return value
+    return Poly.const(value)
 
 
 # -- determinants -------------------------------------------------------------
@@ -360,8 +363,14 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     """Determinant of the size x size completion; `size` may be odd.
 
     This is the entry point for square matrices built from a triangular
-    half by symmetry or skew-symmetry, with zero diagonal.  Entries that
-    mix Poly and float are a ValueError.
+    half by symmetry or skew-symmetry, with zero diagonal.  Ints and
+    Fractions give a Fraction by Bareiss elimination, and floats the float
+    of that exact value.  If any entry is a Poly the result is a Poly:
+    det M = (-1)^(m(m-1)/2) pf [[0, M], [-M^T, 0]] for M of size m, and
+    `_subset_pf` expands that pfaffian along its rows.  It skips the zero
+    blocks, so its memo holds only the m 2^m column-subset minors of M,
+    and it takes no size cap.  Entries that mix Poly and float are a
+    ValueError.
     """
     if mode not in (SYMMETRIC, SKEW):
         raise ValueError(f"mode must be symmetric or skew, got {mode!r}")
@@ -381,8 +390,12 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
                 row.append(flip * entries[(j, i)])
         rows.append(row)
     if any(isinstance(v, Poly) for row in rows for v in row):
-        rows = [[v if isinstance(v, Poly) else Poly.const(v) for v in row] for row in rows]
-        return _cofactor_det(rows)
+        embedded = dict.fromkeys(upper_pairs(2 * size), 0)
+        for i, row in enumerate(rows, 1):
+            for j, v in enumerate(row, size + 1):
+                embedded[(i, j)] = v
+        value = _subset_pf(embedded, tuple(range(1, 2 * size + 1)), {})
+        return _keep_poly(-value if size * (size - 1) // 2 % 2 else value, entries)
     if any(isinstance(v, float) for row in rows for v in row):
         exact = _bareiss_det([[Fraction(v) for v in row] for row in rows])
         return float(exact)
@@ -410,17 +423,3 @@ def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
             rows[i][k] = Fraction(0)
         prev = pivot
     return sign * rows[-1][-1]
-
-
-def _cofactor_det(rows: list[list[Poly]]) -> Poly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = Poly.zero()
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = rows[0][j] * _cofactor_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total

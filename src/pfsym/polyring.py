@@ -55,14 +55,15 @@ def var_text(v: Var) -> str:
     return f"x{v[1]}" if v[0] == "x" else f"a({v[1]},{v[2]})"
 
 
-def _exact(c) -> Scalar:
-    """The coefficient c as an int when integral, else as a Fraction.
+def _exact(c, what: str = "coefficient") -> Scalar:
+    """The exact scalar c as an int when integral, else as a Fraction.
 
     Takes ints, Fractions and rational strings ("p/q"); floats, booleans
-    and anything else are a ValueError, so no binary fraction gets in.
+    and anything else are a ValueError naming `what`, so no binary
+    fraction gets in.
     """
     if isinstance(c, bool) or not isinstance(c, (int, Fraction, str)):
-        raise ValueError(f"coefficient {c!r} is not exact (need an int, a Fraction or a 'p/q' string)")
+        raise ValueError(f"{what} {c!r} is not exact (need an int, a Fraction or a 'p/q' string)")
     if isinstance(c, int):
         return c
     if isinstance(c, str):
@@ -235,26 +236,18 @@ class Poly:
         return out
 
     def eval_rational(self, assignment: Mapping[Var, Scalar]) -> Fraction:
-        """Exact value under a total assignment of rationals."""
+        """Exact value under a total assignment of exact scalars.
+
+        The values obey the coefficient rule: ints, Fractions and "p/q"
+        strings; a float or a boolean is a ValueError.
+        """
         total = Fraction(0)
         for mono, coeff in self._terms.items():
             value = coeff
             for v, e in mono:
                 if v not in assignment:
                     raise ValueError(f"no value assigned to {var_text(v)}")
-                value *= Fraction(assignment[v]) ** e
-            total += value
-        return total
-
-    def eval_float(self, assignment: Mapping[Var, float]) -> float:
-        """Double-precision value under a total assignment."""
-        total = 0.0
-        for mono, coeff in self._terms.items():
-            value = float(coeff)
-            for v, e in mono:
-                if v not in assignment:
-                    raise ValueError(f"no value assigned to {var_text(v)}")
-                value *= float(assignment[v]) ** e
+                value *= _exact(assignment[v], f"value {var_text(v)} =") ** e
             total += value
         return total
 

@@ -1,6 +1,6 @@
 """Pivoted skew elimination behind `pfaffian_direct`, against its oracles.
 
-The exact route must equal the matching sum `_pfaffian_sum` bit for bit,
+The exact route must equal the matching sum `pfaffian_sum` bit for bit,
 the float route must agree with the matching-sum double kernel, and both
 must satisfy the pfaffian's identities at sizes past the enumeration cap.
 Poly arrays take the memoized row expansion instead, which must equal the
@@ -12,10 +12,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_fraction
+from pf_oracles import pfaffian_sum
 from pfsym import backend
 from pfsym import pfaffian as pfaffian_module
 from pfsym.models import COSINE, SQUARE_DIFF, kernel_array, position_polys
-from pfsym.pfaffian import MODES, SKEW, TriangularArray, _pfaffian_sum, pfaffian_direct, upper_pairs
+from pfsym.pfaffian import MODES, SKEW, TriangularArray, pfaffian_direct, upper_pairs
 from pfsym.permutations import Permutation
 from pfsym.polyring import Poly, a
 
@@ -51,7 +52,7 @@ def test_exact_elimination_equals_matching_sum(rng):
         for mode in MODES:
             for arr in _exact_cases(rng, two_n, mode):
                 got = pfaffian_direct(arr)
-                want = _pfaffian_sum(arr)
+                want = pfaffian_sum(arr)
                 assert got == want, (two_n, mode, arr.entries)
                 assert type(got) is type(want), (two_n, mode, type(got), type(want))
 
@@ -62,7 +63,7 @@ def test_exact_elimination_with_large_distinct_denominators(rng):
 
     for two_n in range(2, 11, 2):
         arr = _array(two_n, SKEW, lambda i, j: big())
-        assert pfaffian_direct(arr) == _pfaffian_sum(arr), two_n
+        assert pfaffian_direct(arr) == pfaffian_sum(arr), two_n
 
 
 def test_singular_and_zero_row_arrays_vanish(rng):
@@ -126,7 +127,7 @@ def test_squared_difference_closed_form_at_order_32():
 def test_result_type_follows_the_domain():
     ints = _array(4, SKEW, lambda i, j: i + j)
     got = pfaffian_direct(ints)
-    assert type(got) is int and got == _pfaffian_sum(ints)
+    assert type(got) is int and got == pfaffian_sum(ints)
     mixed = TriangularArray(4, SKEW, dict(ints.entries) | {(1, 2): Fraction(1, 2)})
     assert type(pfaffian_direct(mixed)) is Fraction
     floats = TriangularArray(4, SKEW, dict(ints.entries) | {(1, 2): 0.5})
@@ -168,11 +169,11 @@ def test_poly_route_equals_matching_sum():
             for arr in _poly_cases(two_n, mode):
                 got = pfaffian_direct(arr)
                 assert isinstance(got, Poly)
-                assert got == _pfaffian_sum(arr), (two_n, mode)
+                assert got == pfaffian_sum(arr), (two_n, mode)
 
 
 def test_poly_route_enumerates_no_matchings(monkeypatch):
-    want = {two_n: [_pfaffian_sum(arr) for arr in _poly_cases(two_n, SKEW)] for two_n in (4, 8)}
+    want = {two_n: [pfaffian_sum(arr) for arr in _poly_cases(two_n, SKEW)] for two_n in (4, 8)}
 
     def refuse(*args, **kwargs):
         raise AssertionError("enumerate_pfaff called")

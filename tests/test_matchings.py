@@ -2,12 +2,8 @@ import itertools
 
 import pytest
 
-from pfsym.matchings import (
-    PfaffPermutation,
-    enumerate_pfaff,
-    matching_count,
-    matching_sign,
-)
+from pf_oracles import matching_sign
+from pfsym.matchings import PfaffPermutation, enumerate_pfaff, matching_count
 from pfsym.permutations import Permutation
 
 

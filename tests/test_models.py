@@ -53,6 +53,20 @@ def test_difference_kernel_symmetry_flag():
     assert COSINE.constant() == 1.0
 
 
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False, None])
+def test_difference_kernel_refuses_inexact_coefficients(bad):
+    with pytest.raises(ValueError, match=r"kernel coefficient c1 = .* is not exact"):
+        DifferenceKernel([0, bad, 1])
+
+
+def test_difference_kernel_stores_fractions():
+    kernel = DifferenceKernel([2, "1/2", Fraction(3, 1), 0])
+    assert kernel.coeffs == (2, Fraction(1, 2), 3)
+    assert all(type(c) is Fraction for c in kernel.coeffs)
+    assert type(kernel.constant()) is Fraction and kernel.constant() == 2
+    assert type(DifferenceKernel(()).constant()) is Fraction
+
+
 def test_g_poly_examples():
     assert g_poly(2) == -((x(1) - x(2)) ** 2)
     assert g_poly(4).eval_rational({pos(i): i for i in range(1, 5)}) == -3

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_array, random_int_array
+from conftest import random_array, random_fraction, random_int_array
+from pf_oracles import cofactor_det, completed_rows, pfaffian_sum
 from pfsym.matchings import matching_count
 from pfsym.pfaffian import (
     PLAIN,
@@ -17,8 +18,8 @@ from pfsym.pfaffian import (
     heaviside,
     hook_expand_skew,
     hook_expand_symmetric,
+    _subset_pf,
     pfaffian_direct,
-    _pfaffian_sum,
     upper_pairs,
 )
 from pfsym.polyring import Poly, a, gen, x
@@ -172,6 +173,128 @@ def test_determinant_plain_rejected():
         determinant(arr)
 
 
+# -- determinants against the cofactor expansion ------------------------------
+
+
+def _random_poly_entry(rng, size):
+    """Poly.zero(), a nonzero int, or a small linear polynomial in the x_k."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Poly.zero()
+    if kind == 1:
+        return rng.choice((-2, 1, 3))
+    return rng.choice((-2, -1, 1, 3)) * x(rng.randint(1, size)) + rng.randint(-2, 2)
+
+
+def _zero_row(entries, r):
+    """Set row and column r to zero, alternating Poly.zero() and the int 0."""
+    for k, (i, j) in enumerate(p for p in sorted(entries) if r in p):
+        entries[(i, j)] = Poly.zero() if k % 2 == 0 else 0
+
+
+def test_fraction_determinants_match_the_cofactor_oracle(rng):
+    for size in range(1, 8):
+        for mode in (SYMMETRIC, SKEW):
+            for _ in range(3):
+                entries = {p: random_fraction(rng) for p in upper_pairs(size)}
+                want = cofactor_det(completed_rows(size, mode, entries))
+                got = completed_determinant(size, mode, entries)
+                assert type(got) is Fraction and got == want, (size, mode)
+                if size == 1:
+                    continue  # no entries, so no float entry
+                floats = {p: float(v) for p, v in entries.items()}
+                exact = cofactor_det(completed_rows(size, mode, {p: Fraction(v) for p, v in floats.items()}))
+                got = completed_determinant(size, mode, floats)
+                assert type(got) is float and got == float(exact), (size, mode)
+
+
+def test_poly_determinants_match_the_cofactor_oracle(rng):
+    for size in range(1, 7):
+        for mode in (SYMMETRIC, SKEW):
+            for trial in range(3):
+                entries = {p: _random_poly_entry(rng, size) for p in upper_pairs(size)}
+                if size > 1:
+                    entries[(1, 2)] = x(1) - rng.randint(0, 2)
+                if trial == 2:
+                    _zero_row(entries, rng.randint(1, size))
+                got = completed_determinant(size, mode, entries)
+                assert got == cofactor_det(completed_rows(size, mode, entries)), (size, mode, trial)
+                assert isinstance(got, Poly) == (size > 1), (size, mode, trial)
+                if trial == 2 and size > 1:
+                    assert got == Poly.zero()
+
+
+def test_poly_determinant_takes_no_size_cap():
+    # zero-diagonal tridiagonal: D_m = -b_(m-1)^2 D_(m-2), D_0 = 1, D_1 = 0
+    def tridiagonal(size):
+        return {(i, j): x(i) if j == i + 1 else Poly.zero() for i, j in upper_pairs(size)}
+
+    assert completed_determinant(9, SYMMETRIC, tridiagonal(9)) == Poly.zero()
+    want = -((x(1) * x(3) * x(5) * x(7) * x(9)) ** 2)
+    assert completed_determinant(10, SYMMETRIC, tridiagonal(10)) == want
+    assert completed_determinant(10, SKEW, tridiagonal(10)) == -want
+
+
+# -- zero entries in the row expansion ---------------------------------------
+
+
+def _sparse_arrays(rng, two_n, mode):
+    """Fraction and Poly arrays, about half zeros, each also with hook 2 all zero."""
+    out = []
+    fills = (
+        (Fraction(0), lambda: random_fraction(rng)),
+        (Poly.zero(), lambda: x(rng.randint(1, two_n)) + rng.randint(-1, 1)),
+    )
+    for zero, fill in fills:
+        entries = {p: zero if rng.random() < 0.5 else fill() for p in upper_pairs(two_n)}
+        out.append(TriangularArray(two_n, mode, entries))
+        out.append(TriangularArray(two_n, mode, {p: zero if 2 in p else v for p, v in entries.items()}))
+    return out
+
+
+def test_pfaffian_routes_skip_zero_entries(rng):
+    for two_n in (2, 4, 6, 8):
+        for mode in (SYMMETRIC, SKEW):
+            for _ in range(3):
+                for arr in _sparse_arrays(rng, two_n, mode):
+                    want = pfaffian_sum(arr)
+                    domain = type(want)
+                    assert type(pfaffian_direct(arr)) is domain and pfaffian_direct(arr) == want
+                    hook = hook_expand_symmetric if mode == SYMMETRIC else hook_expand_skew
+                    for s in range(1, two_n + 1):
+                        got = hook(arr, s)
+                        assert type(got) is domain and got == want, (two_n, mode, s)
+
+
+def test_a_zero_first_row_gives_the_zero_of_the_domain():
+    for two_n in (2, 4, 6):
+        entries = {(i, j): Poly.zero() if i == 1 else x(i) * x(j) for i, j in upper_pairs(two_n)}
+        arr = TriangularArray(two_n, SKEW, entries)
+        got = pfaffian_direct(arr)
+        assert type(got) is Poly and got == Poly.zero()
+        assert type(hook_expand_skew(arr, 1)) is Poly
+        # the kernel itself hands back the zero entry of an all-zero hook
+        assert _subset_pf(entries, tuple(range(1, two_n + 1)), {}) is entries[(1, two_n)]
+    fractions = {p: Fraction(0) if p[0] == 1 else Fraction(p[1]) for p in upper_pairs(4)}
+    assert _subset_pf(fractions, (1, 2, 3, 4), {}) is fractions[(1, 4)]
+
+
+def test_poly_routes_give_a_poly_when_every_poly_entry_is_zero():
+    # the expansion skips the one Poly entry and multiplies only ints
+    entries = {(1, 2): Poly.zero(), (1, 3): 2, (1, 4): 3, (2, 3): 5, (2, 4): 7, (3, 4): 11}
+    ints = {p: 0 if isinstance(v, Poly) else v for p, v in entries.items()}
+    for mode in (SYMMETRIC, SKEW):
+        arr = TriangularArray(4, mode, entries)
+        assert isinstance(pfaffian_direct(arr), Poly) and pfaffian_direct(arr) == -2 * 7 + 3 * 5
+        hook = hook_expand_symmetric if mode == SYMMETRIC else hook_expand_skew
+        for s in range(1, 5):
+            assert isinstance(hook(arr, s), Poly) and hook(arr, s) == -2 * 7 + 3 * 5
+        got = completed_determinant(4, mode, entries)
+        assert isinstance(got, Poly) and got == cofactor_det(completed_rows(4, mode, ints)) != 0
+    got = completed_determinant(3, SYMMETRIC, {(1, 2): Poly.zero(), (1, 3): 2, (2, 3): 5})
+    assert isinstance(got, Poly) and got == Poly.zero()
+
+
 def test_pfaffian_multilinear_in_hooks(rng):
     for _ in range(10):
         arr = random_array(rng, 6, SKEW)
@@ -197,7 +320,7 @@ def test_float_arrays_route_through_elimination(rng):
         got = pfaffian_direct(floats)
         assert isinstance(got, float)
         assert math.isclose(got, float(pfaffian_direct(exact)), rel_tol=1e-12, abs_tol=1e-12)
-        assert math.isclose(got, _pfaffian_sum(floats), rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(got, pfaffian_sum(floats), rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_eval_agrees_with_expand_plus_substitute(rng):

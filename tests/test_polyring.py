@@ -99,18 +99,11 @@ def test_eval_rational_examples():
     assert specialized.eval_rational({pos(i): i for i in range(1, 5)}) == -6
 
 
-def test_eval_float_examples():
-    assert x(1).eval_float({pos(1): 0.25}) == 0.25
-    assert ((x(1) - x(2)) ** 2).eval_float({pos(1): 1.5, pos(2): 0.5}) == 1.0
-    g4 = (x(1) - x(2)) * (x(2) - x(3)) * (x(3) - x(4)) * (x(4) - x(1))
-    assert g4.eval_float({pos(i): float(i) for i in range(1, 5)}) == -3.0
-
-
 def test_eval_missing_variable():
     with pytest.raises(ValueError, match="x2"):
         (x(1) + x(2)).eval_rational({pos(1): 1})
     with pytest.raises(ValueError, match=r"a\(1,2\)"):
-        a(1, 2).eval_float({})
+        a(1, 2).eval_rational({})
 
 
 def test_ring_axioms_randomized(rng):
@@ -290,6 +283,21 @@ def test_inexact_coefficients_are_refused(bad):
         Poly.const(bad)
     with pytest.raises(ValueError, match="not exact"):
         Poly.from_json_obj([{"coeff": bad, "vars": [["x", 1, 1]]}])
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, False, None])
+def test_eval_rational_refuses_inexact_values(bad):
+    with pytest.raises(ValueError, match=r"value x1 = .* is not exact"):
+        x(1).eval_rational({pos(1): bad})
+    with pytest.raises(ValueError, match=r"value x2 = .* is not exact"):
+        (x(1) * x(2) + 1).eval_rational({pos(1): 1, pos(2): bad})
+
+
+def test_eval_rational_takes_exact_values():
+    p = x(1) ** 2 - 3 * x(2)
+    value = p.eval_rational({pos(1): Fraction(1, 2), pos(2): "2/3"})
+    assert type(value) is Fraction and value == Fraction(-7, 4)
+    assert type(Poly.const(5).eval_rational({})) is Fraction
 
 
 def test_exact_coefficients_are_accepted():
