@@ -200,7 +200,7 @@ def verify_theorem2(kernel, xs: Sequence, s: int, tol: float = 1e-12) -> Verific
         mode = f"{kernel.name}/numeric"
     else:
         diff = lhs - rhs
-        passed = (diff.is_zero() if isinstance(diff, Poly) else diff == 0)
+        passed = diff == 0
         # exact comparison: 1.0 just flags a mismatch, the sides carry the detail
         residual = 0.0 if passed else 1.0
         mode = f"{kernel.name}/exact"

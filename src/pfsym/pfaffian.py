@@ -7,14 +7,16 @@ definition it is the alternating sum over perfect matchings of products
 of upper entries, so in every mode it equals the pfaffian of the skew
 completion.  The hook expansions and the determinant do use the mode.
 
-Scalars are pluggable: exact ints/Fractions, floats, or Poly values all
-work, and the arithmetic never leaves the scalar domain.  Float and
-rational arrays are evaluated by pivoted skew elimination in O(n^3)
-operations; other scalars, such as Poly, by the memoized expansion along
-the first row (`_subset_pf`, the kernel of the hook expansions), up to
-2n = 16.  Poly determinants take the same kernel, on the skew embedding
-[[0, M], [-M^T, 0]].  The definitional oracles, the sum over matchings
-and the cofactor expansion, live with the tests (`tests/pf_oracles.py`).
+Scalars are pluggable: ints, Fractions, floats, Poly or any other ring.
+Each route reads the scalar domain once (`_domain`) and returns its
+result in it; a determinant of ints is a Fraction.  Float and rational
+arrays are evaluated by pivoted skew elimination in O(n^3) operations
+(determinants by Bareiss); other scalars, such as Poly, by the memoized
+expansion along the first row (`_subset_pf`, the kernel of the hook
+expansions in every domain), up to 2n = 16, and their determinants on
+the skew embedding [[0, M], [-M^T, 0]].  The definitional oracles, the
+sum over matchings and the cofactor expansion, live with the tests
+(`tests/pf_oracles.py`).
 """
 from __future__ import annotations
 
@@ -173,18 +175,36 @@ def parse_square_json(obj: dict) -> tuple[int, str, dict]:
     return size, mode, entries
 
 
-def _refuse_floats_beside_polys(entries: Mapping[tuple[int, int], object]) -> None:
-    """Raise ValueError, naming the first float entry, if entries mix Poly and float.
+_KINDS = (bool, Poly, float, Fraction, int)  # a subclass counts as the first base listed
 
-    Poly coefficients are exact, so a float has no place in a polynomial
-    array: turning it into a binary fraction would hide an inexact input.
+
+def _domain(entries: Mapping[tuple[int, int], object]):
+    """The scalar domain of the entries: Poly, any other ring (object), float,
+    Fraction or int, the first of these that some entry belongs to.
+
+    A boolean entry is a ValueError, and so is a float beside a Poly: Poly
+    coefficients are exact, and a binary fraction would hide an inexact
+    input.  The message names the first such entry.
     """
-    if any(isinstance(v, Poly) for v in entries.values()):
+    types = set(map(type, entries.values()))
+    kinds = {t if t in _KINDS else next((d for d in _KINDS if issubclass(t, d)), object) for t in types}
+    if bool in kinds or (Poly in kinds and float in kinds):
         for (i, j), v in sorted(entries.items()):
-            if isinstance(v, float):
+            if isinstance(v, bool):
+                raise ValueError(f"entry '{i},{j}': bad scalar {v!r}")
+            if Poly in kinds and isinstance(v, float):
                 raise ValueError(
                     f"entry '{i},{j}' is the float {v!r}; an array with polynomial entries takes exact scalars only"
                 )
+    return next((d for d in (Poly, object, float, Fraction) if d in kinds), int)
+
+
+def _into(domain, value):
+    """`value` in `domain`: elimination of ints works in Fractions, and
+    `_subset_pf` can give an int when every Poly entry on its way is zero."""
+    if isinstance(value, domain):
+        return value
+    return Poly.const(value) if domain is Poly else domain(value)
 
 
 # -- pfaffians ---------------------------------------------------------------
@@ -194,26 +214,21 @@ def pfaffian_direct(arr: TriangularArray):
     """Pfaffian of the array, by the fastest route its scalar domain allows.
 
     Only upper entries appear, so every mode gives the pfaffian of the
-    skew completion.  Arrays of ints, Fractions and floats are evaluated
-    by pivoted skew elimination (`_pf_eliminate`), in floats if any entry
-    is a float and in Fractions otherwise; the result is a float, an int
-    (all entries ints) or a Fraction.  Any other scalar, such as Poly,
-    takes the memoized expansion `_subset_pf`, for 2n up to HARD_CAP, and
-    an array with a Poly entry gives a Poly; an array that mixes Poly and
-    float entries is a ValueError.
+    skew completion.  `_domain` picks the route and the result type from
+    the entries: ints give an int, Fractions (ints among them) a Fraction
+    and floats a float, all by pivoted skew elimination (`_pf_eliminate`);
+    Poly entries give a Poly, and any other scalar its own ring, by the
+    memoized expansion `_subset_pf` for 2n up to HARD_CAP.  A boolean
+    entry, or a float beside a Poly, is a ValueError.
     """
+    domain = _domain(arr.entries)
     if arr.two_n == 0:
         return 1
-    values = arr.entries.values()
-    if any(isinstance(v, bool) or not isinstance(v, (int, Fraction, float)) for v in values):
-        _refuse_floats_beside_polys(arr.entries)
-        if arr.two_n > HARD_CAP:
-            raise ValueError(f"two_n={arr.two_n} exceeds the enumeration cap {HARD_CAP}")
-        return _keep_poly(_subset_pf(arr.entries, tuple(range(1, arr.two_n + 1)), {}), arr.entries)
-    if any(isinstance(v, float) for v in values):
-        return _pf_eliminate(arr, float)
-    value = _pf_eliminate(arr, Fraction)
-    return int(value) if all(isinstance(v, int) for v in values) else value
+    if domain in (int, Fraction, float):
+        return _into(domain, _pf_eliminate(arr, float if domain is float else Fraction))
+    if arr.two_n > HARD_CAP:
+        raise ValueError(f"two_n={arr.two_n} exceeds the enumeration cap {HARD_CAP}")
+    return _into(domain, _subset_pf(arr.entries, tuple(range(1, arr.two_n + 1)), {}))
 
 
 def _pf_eliminate(arr: TriangularArray, cast):
@@ -321,7 +336,7 @@ def _hook_expand(arr: TriangularArray, s: int, mode: str):
         raise ValueError(f"{mode} hook expansion needs a {mode} array, got mode {arr.mode!r}")
     if not 1 <= s <= arr.two_n:
         raise IndexError(f"hook {s} outside 1..{arr.two_n}")
-    _refuse_floats_beside_polys(arr.entries)
+    domain = _domain(arr.entries)
     memo: dict = {}
     live = tuple(range(1, arr.two_n + 1))
     total = None
@@ -334,19 +349,7 @@ def _hook_expand(arr: TriangularArray, s: int, mode: str):
         if (s + j + 1 + shift) % 2 != 0:
             term = -term
         total = term if total is None else total + term
-    return _keep_poly(total, arr.entries)
-
-
-def _keep_poly(value, entries: Mapping[tuple[int, int], object]):
-    """`value` as a Poly if any entry is one.
-
-    `_subset_pf` skips zero entries, so when every Poly entry on the way is
-    zero the result can be an int or a Fraction; a Poly input still gives
-    a Poly, and prints as one.
-    """
-    if isinstance(value, Poly) or not any(isinstance(v, Poly) for v in entries.values()):
-        return value
-    return Poly.const(value)
+    return _into(domain, total)
 
 
 # -- determinants -------------------------------------------------------------
@@ -363,20 +366,21 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     """Determinant of the size x size completion; `size` may be odd.
 
     This is the entry point for square matrices built from a triangular
-    half by symmetry or skew-symmetry, with zero diagonal.  Ints and
+    half by symmetry or skew-symmetry, with zero diagonal.  `_domain`
+    picks the route and the result type from the entries.  Ints and
     Fractions give a Fraction by Bareiss elimination, and floats the float
-    of that exact value.  If any entry is a Poly the result is a Poly:
-    det M = (-1)^(m(m-1)/2) pf [[0, M], [-M^T, 0]] for M of size m, and
-    `_subset_pf` expands that pfaffian along its rows.  It skips the zero
-    blocks, so its memo holds only the m 2^m column-subset minors of M,
-    and it takes no size cap.  Entries that mix Poly and float are a
-    ValueError.
+    of that exact value.  Poly entries give a Poly, and any other scalar
+    its own ring: det M = (-1)^(m(m-1)/2) pf [[0, M], [-M^T, 0]] for M of
+    size m, and `_subset_pf` expands that pfaffian along its rows.  It
+    skips the zero blocks, so its memo holds only the m 2^m column-subset
+    minors of M, and it takes no size cap.  A boolean entry, or a float
+    beside a Poly, is a ValueError.
     """
     if mode not in (SYMMETRIC, SKEW):
         raise ValueError(f"mode must be symmetric or skew, got {mode!r}")
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    _refuse_floats_beside_polys(entries)
+    domain = _domain(entries)
     flip = -1 if mode == SKEW else 1
     rows = []
     for i in range(1, size + 1):
@@ -389,17 +393,15 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
             else:
                 row.append(flip * entries[(j, i)])
         rows.append(row)
-    if any(isinstance(v, Poly) for row in rows for v in row):
-        embedded = dict.fromkeys(upper_pairs(2 * size), 0)
-        for i, row in enumerate(rows, 1):
-            for j, v in enumerate(row, size + 1):
-                embedded[(i, j)] = v
-        value = _subset_pf(embedded, tuple(range(1, 2 * size + 1)), {})
-        return _keep_poly(-value if size * (size - 1) // 2 % 2 else value, entries)
-    if any(isinstance(v, float) for row in rows for v in row):
+    if domain in (int, Fraction, float):
         exact = _bareiss_det([[Fraction(v) for v in row] for row in rows])
-        return float(exact)
-    return _bareiss_det([[Fraction(v) for v in row] for row in rows])
+        return float(exact) if domain is float else exact
+    embedded = dict.fromkeys(upper_pairs(2 * size), 0)
+    for i, row in enumerate(rows, 1):
+        for j, v in enumerate(row, size + 1):
+            embedded[(i, j)] = v
+    value = _subset_pf(embedded, tuple(range(1, 2 * size + 1)), {})
+    return _into(domain, -value if size * (size - 1) // 2 % 2 else value)
 
 
 def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from .models import g_poly
 from .permutations import (
     Permutation,
+    add_generator,
     check_sym_size,
-    close_right,
     dihedral_generators,
     enumerate_sym,
     generate_subgroup,
@@ -132,17 +132,16 @@ def _check_closure(images: set[tuple[int, ...]]) -> None:
     """Raise unless `images`, which holds the identity, is closed under composition.
 
     Each member not yet reached, in sorted order, becomes a generator, and
-    the reached set grows by right-multiplying by the generators, every
-    product looked up in `images`.  Without an escape the reached set is
+    `add_generator` grows the reached group by the cosets it adds, every
+    new element looked up in `images`.  Without an escape the reached set is
     the group they span and holds every member, so it equals `images`.
     Each generator at least doubles the reached group: at most log2 |G|.
     """
     reached = {tuple(range(1, len(next(iter(images))) + 1))}
-    gens = []
+    gens: list[tuple[int, ...]] = []
     for s in sorted(images):
         if s not in reached:
-            gens.append(s)
-            escape = close_right(reached, list(reached), gens, inside=images)
+            escape = add_generator(reached, gens, s, inside=images)
             if escape is not None:
                 a, b = escape
                 raise RuntimeError(f"symmetry set is not closed: {a} o {b} escapes")
@@ -226,7 +225,7 @@ def symmetry_group(poly: Poly, m: int, mode: str, signed: bool = False) -> Group
       branch dies as soon as a new point's colours against the points
       placed before it disagree.
     * Cosets.  The members found so far generate a group H, which
-      `close_right` keeps closed as it grows.  A coset q o H holds only
+      `add_generator` keeps closed as it grows.  A coset q o H holds only
       members or only non-members (were q o h a member, q would be one
       too), so only the least element of each coset is tested.  It
       maps each point k below the rest of k's orbit under the h in H that
@@ -258,10 +257,7 @@ def symmetry_group(poly: Poly, m: int, mode: str, signed: bool = False) -> Group
         if q in group or not _is_member(q, poly, skew, signed):
             return
         old = set(group)
-        gens.append(q)
-        first = [tuple([h[v - 1] for v in q]) for h in old]
-        group.update(first)
-        close_right(group, first, gens)
+        add_generator(group, gens, q)
         for h in group - old:
             k = next(i for i in range(m) if h[i] != i + 1)  # h fixes 0..k-1
             j = h[k] - 1

@@ -408,6 +408,16 @@ def test_poly_and_float_array_is_refused(tmp_path, capsys, argv):
     )
 
 
+@pytest.mark.parametrize("argv", [["eval"], ["eval", "--hook", "1"], ["det"]])
+def test_boolean_array_entry_is_refused(tmp_path, capsys, argv):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"two_n": 2, "mode": "skew", "entries": {"1,2": True}}))
+    assert run([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: entry '1,2': bad scalar True\n"
+
+
 @pytest.mark.parametrize("coeff", [0.1, True])
 def test_sym_refuses_an_inexact_coefficient(tmp_path, coeff):
     path = tmp_path / "poly.json"

@@ -4,7 +4,8 @@ The exact route must equal the matching sum `pfaffian_sum` bit for bit,
 the float route must agree with the matching-sum double kernel, and both
 must satisfy the pfaffian's identities at sizes past the enumeration cap.
 Poly arrays take the memoized row expansion instead, which must equal the
-matching sum too.
+matching sum too.  Every pfaffian and determinant route returns its result
+in the scalar domain of the entries, and refuses a boolean entry.
 """
 import math
 from fractions import Fraction
@@ -16,7 +17,18 @@ from pf_oracles import pfaffian_sum
 from pfsym import backend
 from pfsym import pfaffian as pfaffian_module
 from pfsym.models import COSINE, SQUARE_DIFF, kernel_array, position_polys
-from pfsym.pfaffian import MODES, SKEW, TriangularArray, pfaffian_direct, upper_pairs
+from pfsym.pfaffian import (
+    MODES,
+    SKEW,
+    SYMMETRIC,
+    TriangularArray,
+    completed_determinant,
+    determinant,
+    hook_expand_skew,
+    hook_expand_symmetric,
+    pfaffian_direct,
+    upper_pairs,
+)
 from pfsym.permutations import Permutation
 from pfsym.polyring import Poly, a
 
@@ -124,6 +136,25 @@ def test_squared_difference_closed_form_at_order_32():
     assert pfaffian_direct(arr) == (-2) ** (n - 1) * (2 * n - 1)
 
 
+class Double(float):
+    pass
+
+
+# entries (i, j) of a 4-point array in each scalar domain
+DOMAINS = {
+    "int": lambda i, j: i + j,
+    "Fraction": lambda i, j: Fraction(i, j + 1),
+    "float": lambda i, j: i / j,
+    "float subclass": lambda i, j: Double(i / j),
+    "Poly": a,
+    "Poly and ints": lambda i, j: a(i, j) if (i + j) % 2 else i * j,
+    "zero Polys": lambda i, j: Poly.zero(),
+    "a zero Poly and ints": lambda i, j: Poly.zero() if (i, j) == (1, 2) else i * j,
+}
+
+DET_TYPES = {"int": Fraction, "Fraction": Fraction, "float": float, "float subclass": float}
+
+
 def test_result_type_follows_the_domain():
     ints = _array(4, SKEW, lambda i, j: i + j)
     got = pfaffian_direct(ints)
@@ -136,6 +167,40 @@ def test_result_type_follows_the_domain():
     assert pfaffian_direct(singular) == 0.0 and type(pfaffian_direct(singular)) is float
     assert pfaffian_direct(_array(4, SKEW, lambda i, j: 0)) == 0
     assert type(pfaffian_direct(_array(4, SKEW, lambda i, j: 0))) is int
+    # every route in every domain: pfaffians take the type of the matching
+    # sum, determinants are Fractions for exact numbers
+    for name, fill in DOMAINS.items():
+        for mode, hook in ((SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)):
+            arr = _array(4, mode, fill)
+            want = type(pfaffian_sum(arr))
+            assert type(pfaffian_direct(arr)) is want, (name, mode)
+            assert type(hook(arr, 2)) is want, (name, mode)
+            det_type = DET_TYPES.get(name, Poly)
+            assert type(determinant(arr)) is det_type, (name, mode)
+            entries = {p: v for p, v in arr.entries.items() if p[1] <= 3}
+            assert type(completed_determinant(3, mode, entries)) is det_type, (name, mode)
+    for mode in (SYMMETRIC, SKEW):
+        assert type(completed_determinant(1, mode, {})) is Fraction
+
+
+ROUTES = {
+    "pfaffian_direct": lambda entries: pfaffian_direct(TriangularArray(4, SKEW, entries)),
+    "hook_expand_symmetric": lambda entries: hook_expand_symmetric(TriangularArray(4, SYMMETRIC, entries), 1),
+    "hook_expand_skew": lambda entries: hook_expand_skew(TriangularArray(4, SKEW, entries), 1),
+    "completed_determinant": lambda entries: completed_determinant(4, SYMMETRIC, entries),
+    "determinant": lambda entries: determinant(TriangularArray(4, SKEW, entries)),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_boolean_entry_is_refused(route):
+    evaluate = ROUTES[route]
+    with pytest.raises(ValueError, match=r"^entry '1,2': bad scalar True$"):
+        evaluate({p: True for p in upper_pairs(4)})
+    for fill in (lambda i, j: i * j, a):
+        entries = {p: fill(*p) for p in upper_pairs(4)} | {(2, 4): False, (1, 3): True}
+        with pytest.raises(ValueError, match=r"^entry '1,3': bad scalar True$"):
+            evaluate(entries)
 
 
 def test_elimination_enumerates_no_matchings_and_ignores_the_cap(monkeypatch, rng):
@@ -143,9 +208,6 @@ def test_elimination_enumerates_no_matchings_and_ignores_the_cap(monkeypatch, rn
         raise AssertionError("enumerate_pfaff called")
 
     monkeypatch.setattr(pfaffian_module, "enumerate_pfaff", refuse)
-    class Double(float):
-        pass
-
     for two_n in (6, 18):
         assert isinstance(pfaffian_direct(_array(two_n, SKEW, lambda i, j: rng.uniform(-1, 1))), float)
         assert isinstance(pfaffian_direct(_array(two_n, SKEW, lambda i, j: Double(rng.uniform(-1, 1)))), float)

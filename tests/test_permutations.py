@@ -9,6 +9,7 @@ from pfsym.permutations import (
     TWO_DOWN_RUNS,
     TWO_UP_RUNS,
     Permutation,
+    add_generator,
     classify_runs,
     compose,
     dihedral_generators,
@@ -130,6 +131,24 @@ def test_generate_subgroup_edges():
 def test_generate_subgroup_transposition_and_cycle_give_s6():
     group = generate_subgroup([P(2, 1, 3, 4, 5, 6), P(2, 3, 4, 5, 6, 1)])
     assert group == list(enumerate_sym(6))
+
+
+def test_add_generator_checks_every_new_element():
+    # S_4 without any one element x: adding the least members not yet reached
+    # as generators must meet a product outside the set, wherever x lies in
+    # its coset
+    s4 = {p.images for p in enumerate_sym(4)}
+    for x in sorted(s4 - {identity(4).images}):
+        inside = s4 - {x}
+        group, gens, escape = {identity(4).images}, [], None
+        for g in sorted(inside):
+            if g not in group:
+                escape = add_generator(group, gens, g, inside=inside)
+                if escape is not None:
+                    break
+        assert escape is not None, x
+        a, b = escape
+        assert compose(Permutation(a), Permutation(b)).images == x
 
 
 def test_dihedral_subgroup_orders():
