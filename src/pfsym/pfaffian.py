@@ -10,12 +10,17 @@ completion.  The hook expansions and the determinant do use the mode.
 Scalars are pluggable: ints, Fractions, floats, Poly or any other ring.
 Each route reads the scalar domain once (`_domain`) and returns its
 result in it; a determinant of ints is a Fraction.  Float and rational
-arrays are evaluated by pivoted skew elimination in O(n^3) operations
-(determinants by Bareiss); other scalars, such as Poly, by the memoized
-expansion along the first row (`_subset_pf`, the kernel of the hook
-expansions in every domain), up to 2n = 16, and their determinants on
-the skew embedding [[0, M], [-M^T, 0]].  The definitional oracles, the
-sum over matchings and the cofactor expansion, live with the tests
+arrays are evaluated by pivoted skew elimination in O(n^3) operations;
+their determinants are the square of that pfaffian for a skew matrix
+(0 at odd size) and come from Bareiss elimination for a symmetric one.
+Other scalars, such as Poly, take the memoized expansion along the first
+row (`_subset_pf`, the kernel of the hook expansions in every domain),
+up to 2n = 16, and their determinants the skew embedding
+[[0, M], [-M^T, 0]].  Poly entries enter that kernel packed, once per
+call (`_codec`): each monomial is one int holding its exponents in
+fixed-width fields, so a product of monomials is an integer addition,
+and the result is unpacked once.  The definitional oracles, the sum over
+matchings and the cofactor expansion, live with the tests
 (`tests/pf_oracles.py`).
 """
 from __future__ import annotations
@@ -24,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .matchings import HARD_CAP, enumerate_pfaff
-from .polyring import Poly, gen
+from .polyring import Poly, _packing, gen
 
 SYMMETRIC = "symmetric"
 SKEW = "skew"
@@ -43,6 +48,17 @@ def upper_pairs(size: int):
             yield i, j
 
 
+def _check_keys(size: int, entries: Mapping[tuple[int, int], object]) -> None:
+    """Refuse entries that are not exactly the upper pairs of `size`, naming the first."""
+    expected = set(upper_pairs(size))
+    got = set(entries)
+    if got != expected:
+        missing = sorted(expected - got)
+        if missing:
+            raise ValueError(f"missing entry {missing[0]}")
+        raise ValueError(f"unexpected entry {sorted(got - expected)[0]}")
+
+
 class TriangularArray:
     """Upper-triangular data (a_{i,j})_{1<=i<j<=two_n} plus a completion mode."""
 
@@ -53,14 +69,7 @@ class TriangularArray:
             raise ValueError(f"two_n must be even and >= 0, got {two_n}")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        expected = set(upper_pairs(two_n))
-        got = set(entries)
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            if missing:
-                raise ValueError(f"missing entry {missing[0]}")
-            raise ValueError(f"unexpected entry {extra[0]}")
+        _check_keys(two_n, entries)
         self.two_n = two_n
         self.mode = mode
         self.entries = dict(entries)
@@ -201,10 +210,21 @@ def _domain(entries: Mapping[tuple[int, int], object]):
 
 def _into(domain, value):
     """`value` in `domain`: elimination of ints works in Fractions, and
-    `_subset_pf` can give an int when every Poly entry on its way is zero."""
+    `_subset_pf` can give an int when every Fraction entry on its way is zero."""
     if isinstance(value, domain):
         return value
-    return Poly.const(value) if domain is Poly else domain(value)
+    return domain(value)
+
+
+def _codec(domain, entries: Mapping[tuple[int, int], object], factors: int):
+    """(pack, unpack) around `_subset_pf`, for sums of products of at most
+    `factors` entries.  Poly entries are packed (`polyring._packing`), so a
+    product of monomials is one integer addition, and `unpack` gives a Poly
+    even when every Poly entry on the way was zero and the sum is an int.
+    Any other domain goes through as it is."""
+    if domain is Poly:
+        return _packing(entries.values(), factors)
+    return (lambda v: v), (lambda v: _into(domain, v))
 
 
 # -- pfaffians ---------------------------------------------------------------
@@ -218,20 +238,23 @@ def pfaffian_direct(arr: TriangularArray):
     the entries: ints give an int, Fractions (ints among them) a Fraction
     and floats a float, all by pivoted skew elimination (`_pf_eliminate`);
     Poly entries give a Poly, and any other scalar its own ring, by the
-    memoized expansion `_subset_pf` for 2n up to HARD_CAP.  A boolean
-    entry, or a float beside a Poly, is a ValueError.
+    memoized expansion `_subset_pf` for 2n up to HARD_CAP, Poly entries
+    on packed monomials (`_codec`).  A boolean entry, or a float beside a
+    Poly, is a ValueError.
     """
     domain = _domain(arr.entries)
     if arr.two_n == 0:
         return 1
     if domain in (int, Fraction, float):
-        return _into(domain, _pf_eliminate(arr, float if domain is float else Fraction))
+        return _into(domain, _pf_eliminate(arr.two_n, arr.entries, float if domain is float else Fraction))
     if arr.two_n > HARD_CAP:
         raise ValueError(f"two_n={arr.two_n} exceeds the enumeration cap {HARD_CAP}")
-    return _into(domain, _subset_pf(arr.entries, tuple(range(1, arr.two_n + 1)), {}))
+    pack, unpack = _codec(domain, arr.entries, arr.two_n // 2)
+    entries = {p: pack(v) for p, v in arr.entries.items()}
+    return unpack(_subset_pf(entries, tuple(range(1, arr.two_n + 1)), {}))
 
 
-def _pf_eliminate(arr: TriangularArray, cast):
+def _pf_eliminate(size: int, entries: Mapping[tuple[int, int], object], cast):
     """Pfaffian of the skew completion by pivoted Schur elimination.
 
     Parlett & Reid, BIT 10 (1970); Wimmer, ACM TOMS 38(4) (2012).  The
@@ -244,9 +267,8 @@ def _pf_eliminate(arr: TriangularArray, cast):
     Floats pivot on the entry of largest magnitude, Fractions on the first
     nonzero entry.
     """
-    size = arr.two_n
     a = [[0] * size for _ in range(size)]
-    for (i, j), v in arr.entries.items():
+    for (i, j), v in entries.items():
         w = cast(v)
         a[i - 1][j - 1] = w
         a[j - 1][i - 1] = -w
@@ -298,7 +320,10 @@ def _subset_pf(entries: Mapping[tuple[int, int], object], live: tuple[int, ...],
     entries, so it is valid in every mode.  Zero entries are skipped, and
     a hook whose entries are all zero gives its last entry, so the result
     stays in the scalar domain of the entries.  `memo` caches each
-    subset's pfaffian across the calls of one expansion.
+    subset's pfaffian across the calls of one expansion.  The kernel is
+    generic: it needs only `*`, `+`, unary `-` and truth testing, so the
+    Poly routes run it on packed polynomials (`_codec`), whose monomial
+    product is one integer addition, and plain ints mix in.
     """
     if not live:
         return 1
@@ -336,7 +361,8 @@ def _hook_expand(arr: TriangularArray, s: int, mode: str):
         raise ValueError(f"{mode} hook expansion needs a {mode} array, got mode {arr.mode!r}")
     if not 1 <= s <= arr.two_n:
         raise IndexError(f"hook {s} outside 1..{arr.two_n}")
-    domain = _domain(arr.entries)
+    pack, unpack = _codec(_domain(arr.entries), arr.entries, arr.two_n // 2)
+    entries = {p: pack(v) for p, v in arr.entries.items()}
     memo: dict = {}
     live = tuple(range(1, arr.two_n + 1))
     total = None
@@ -344,12 +370,12 @@ def _hook_expand(arr: TriangularArray, s: int, mode: str):
         if j == s:
             continue
         rest = tuple(k for k in live if k != s and k != j)
-        term = arr.lookup(s, j) * _subset_pf(arr.entries, rest, memo)
+        term = pack(arr.lookup(s, j)) * _subset_pf(entries, rest, memo)
         shift = heaviside(s - j) if mode == SKEW else 0
         if (s + j + 1 + shift) % 2 != 0:
             term = -term
         total = term if total is None else total + term
-    return _into(domain, total)
+    return unpack(total)
 
 
 # -- determinants -------------------------------------------------------------
@@ -366,42 +392,51 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     """Determinant of the size x size completion; `size` may be odd.
 
     This is the entry point for square matrices built from a triangular
-    half by symmetry or skew-symmetry, with zero diagonal.  `_domain`
-    picks the route and the result type from the entries.  Ints and
-    Fractions give a Fraction by Bareiss elimination, and floats the float
-    of that exact value.  Poly entries give a Poly, and any other scalar
-    its own ring: det M = (-1)^(m(m-1)/2) pf [[0, M], [-M^T, 0]] for M of
-    size m, and `_subset_pf` expands that pfaffian along its rows.  It
-    skips the zero blocks, so its memo holds only the m 2^m column-subset
-    minors of M, and it takes no size cap.  A boolean entry, or a float
-    beside a Poly, is a ValueError.
+    half by symmetry or skew-symmetry, with zero diagonal.  The entries
+    must be exactly the upper pairs of `size`; a missing or an extra one
+    is a ValueError, as for a TriangularArray.  `_domain` picks the route
+    and the result type from the entries.  Ints and Fractions give a
+    Fraction, and floats the float of that exact value: a skew matrix has
+    det = pf^2 at even size (by `_pf_eliminate` in Fractions) and 0 at odd
+    size, and a symmetric one goes through Bareiss elimination.  Poly
+    entries give a Poly, and any other scalar its own ring:
+    det M = (-1)^(m(m-1)/2) pf [[0, M], [-M^T, 0]] for M of size m, and
+    `_subset_pf` expands that pfaffian along its rows, on packed monomials
+    for Poly entries.  It skips the zero blocks, so its memo holds only the
+    m 2^m column-subset minors of M, and it takes no size cap.  A boolean
+    entry, or a float beside a Poly, is a ValueError.
     """
     if mode not in (SYMMETRIC, SKEW):
         raise ValueError(f"mode must be symmetric or skew, got {mode!r}")
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    _check_keys(size, entries)
     domain = _domain(entries)
-    flip = -1 if mode == SKEW else 1
-    rows = []
-    for i in range(1, size + 1):
-        row = []
-        for j in range(1, size + 1):
-            if i == j:
-                row.append(0)
-            elif i < j:
-                row.append(entries[(i, j)])
-            else:
-                row.append(flip * entries[(j, i)])
-        rows.append(row)
     if domain in (int, Fraction, float):
-        exact = _bareiss_det([[Fraction(v) for v in row] for row in rows])
+        if mode == SKEW:
+            # a skew matrix of odd size is singular, and of even size has det = pf^2
+            exact = _pf_eliminate(size, entries, Fraction) ** 2 if size % 2 == 0 else Fraction(0)
+        else:
+            exact = _bareiss_det(_completed_rows(size, mode, entries, Fraction))
         return float(exact) if domain is float else exact
+    pack, unpack = _codec(domain, entries, size)
     embedded = dict.fromkeys(upper_pairs(2 * size), 0)
-    for i, row in enumerate(rows, 1):
+    for i, row in enumerate(_completed_rows(size, mode, entries, pack), 1):
         for j, v in enumerate(row, size + 1):
             embedded[(i, j)] = v
-    value = _subset_pf(embedded, tuple(range(1, 2 * size + 1)), {})
-    return _into(domain, -value if size * (size - 1) // 2 % 2 else value)
+    value = unpack(_subset_pf(embedded, tuple(range(1, 2 * size + 1)), {}))
+    return -value if size * (size - 1) // 2 % 2 else value
+
+
+def _completed_rows(size: int, mode: str, entries: Mapping[tuple[int, int], object], cast) -> list[list]:
+    """The rows of the completion, zero diagonal, with every entry cast by `cast`."""
+    flip = -1 if mode == SKEW else 1
+    cast_entries = {p: cast(v) for p, v in entries.items()}
+    zero = cast(0)
+    return [
+        [zero if i == j else cast_entries[(i, j)] if i < j else flip * cast_entries[(j, i)] for j in range(1, size + 1)]
+        for i in range(1, size + 1)
+    ]
 
 
 def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:

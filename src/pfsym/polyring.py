@@ -12,6 +12,11 @@ A sum or product that lands on an integer may stay a Fraction, which is
 harmless: 3 and Fraction(3) are equal, hash alike and print alike.  All
 arithmetic is exact (floats and booleans are refused as coefficients),
 and monomials are canonical, so equality is plain dict equality.
+
+The memoized pfaffian kernel works on a private packed form instead
+(`_packing`, `_Packed`): there a monomial is one int holding its
+exponents in fixed-width fields, and a product of monomials is an
+integer addition.
 """
 from __future__ import annotations
 
@@ -157,15 +162,7 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        get = out.get
-        for mono, coeff in other._terms.items():
-            acc = get(mono, 0) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                del out[mono]
-        return _raw(out)
+        return _raw(_sum_terms(self._terms, other._terms))
 
     __radd__ = __add__
 
@@ -327,6 +324,19 @@ def _coerce_poly(value) -> Poly:
     return coerced
 
 
+def _sum_terms(terms: dict, other: dict) -> dict:
+    """The terms of a sum of two polynomials; cancelled terms are dropped."""
+    out = dict(terms)
+    get = out.get
+    for mono, coeff in other.items():
+        acc = get(mono, 0) + coeff
+        if acc:
+            out[mono] = acc
+        else:
+            del out[mono]
+    return out
+
+
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if not m1:
         return m2
@@ -346,6 +356,97 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
             k += 1
         items = items[k:] + items[:k]
     return tuple(items)
+
+
+class _Packed:
+    """A polynomial whose monomials are packed exponent vectors.
+
+    The arithmetic of the memoized pfaffian kernel, over ints: a monomial
+    is the sum of e << (width * slot) over its variables, so a product of
+    monomials is one integer addition (Monagan & Pearce, CASC 2007).  The
+    fields never carry, because `_packing` picks the width from a bound on
+    every exponent the kernel can reach.  Plain ints and Fractions mix in
+    as constants, under key 0.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[int, Scalar]):
+        self.terms = terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __neg__(self) -> _Packed:
+        return _Packed({m: -c for m, c in self.terms.items()})
+
+    def __add__(self, other) -> _Packed:
+        if not isinstance(other, _Packed):
+            if not _is_scalar(other):
+                return NotImplemented
+            other = _Packed({0: other} if other else {})
+        return _Packed(_sum_terms(self.terms, other.terms))
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> _Packed:
+        if not isinstance(other, _Packed):
+            if not _is_scalar(other):
+                return NotImplemented
+            return _Packed({m: c * other for m, c in self.terms.items()} if other else {})
+        out: dict[int, Scalar] = {}
+        get = out.get
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = m1 + m2
+                acc = get(m, 0) + c1 * c2
+                if acc:
+                    out[m] = acc
+                else:
+                    del out[m]
+        return _Packed(out)
+
+    __rmul__ = __mul__
+
+
+def _packing(values: Iterable, factors: int):
+    """(pack, unpack) for sums of products of at most `factors` of `values`.
+
+    The slots are the variables of the Poly values in the canonical order,
+    and the field width is the bit length of the largest exponent such a
+    product can reach, `factors` times the largest degree.  `pack` turns a
+    Poly into a `_Packed` and leaves plain scalars alone; `unpack` reads the
+    fields back in slot order, which gives canonical monomials without a
+    sort, and returns a Poly with integral coefficients stored as ints.
+    """
+    polys = [v for v in values if isinstance(v, Poly)]
+    names = sorted({v for p in polys for v in p.variables()}, key=_var_key)
+    degree = max((p.degree() for p in polys if p), default=0)
+    width = max(1, (factors * degree).bit_length())
+    shift = {v: width * k for k, v in enumerate(names)}
+    mask = (1 << width) - 1
+
+    def pack(value):
+        if not isinstance(value, Poly):
+            return value
+        return _Packed({sum(e << shift[v] for v, e in mono): c for mono, c in value._terms.items()})
+
+    def unpack(value) -> Poly:
+        if not isinstance(value, _Packed):
+            return Poly.const(value)
+        out: dict[Monomial, Scalar] = {}
+        for m, c in value.terms.items():
+            mono = []
+            for v in names:
+                if not m:
+                    break
+                if m & mask:
+                    mono.append((v, m & mask))
+                m >>= width
+            out[tuple(mono)] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        return _raw(out)
+
+    return pack, unpack
 
 
 def x(i: int) -> Poly:

@@ -18,6 +18,7 @@ from pfsym.pfaffian import (
     heaviside,
     hook_expand_skew,
     hook_expand_symmetric,
+    _bareiss_det,
     _subset_pf,
     pfaffian_direct,
     upper_pairs,
@@ -171,6 +172,45 @@ def test_determinant_plain_rejected():
     arr = TriangularArray(2, PLAIN, {(1, 2): 1})
     with pytest.raises(ValueError):
         determinant(arr)
+
+
+def test_completed_determinant_refuses_a_missing_entry():
+    entries = {(1, 2): 1, (1, 3): 4}
+    for mode in (SYMMETRIC, SKEW):
+        with pytest.raises(ValueError, match=r"^missing entry \(2, 3\)$"):
+            completed_determinant(3, mode, entries)
+        with pytest.raises(ValueError, match=r"^missing entry \(1, 2\)$"):
+            completed_determinant(3, mode, {(2, 3): x(1)})
+
+
+def test_completed_determinant_refuses_an_entry_outside_the_size():
+    entries = {(1, 2): 1, (1, 3): 4, (2, 3): 1, (3, 4): 5}
+    for mode in (SYMMETRIC, SKEW):
+        with pytest.raises(ValueError, match=r"^unexpected entry \(3, 4\)$"):
+            completed_determinant(3, mode, entries)
+        with pytest.raises(ValueError, match=r"^unexpected entry \(1, 2\)$"):
+            completed_determinant(1, mode, {(1, 2): x(1)})
+
+
+def test_skew_numeric_determinants_match_bareiss(rng):
+    # the skew route squares the pfaffian (or gives 0 at odd size); Bareiss
+    # on the completed rows is the reference, in value and in type
+    fills = {
+        "int": lambda: rng.randint(-9, 9),
+        "Fraction": lambda: random_fraction(rng),
+        "float": lambda: rng.uniform(-2, 2),
+    }
+    for size in range(1, 17):
+        for name, fill in fills.items():
+            entries = {p: fill() for p in upper_pairs(size)}
+            if size > 2 and name == "float":
+                entries[(1, 2)] = Fraction(1, 3)  # a float array may hold exact numbers too
+            want = _bareiss_det([[Fraction(v) for v in row] for row in completed_rows(size, SKEW, entries)])
+            got = completed_determinant(size, SKEW, entries)
+            if name == "float" and size > 1:
+                assert type(got) is float and got == float(want), (size, name)
+            else:
+                assert type(got) is Fraction and got == want, (size, name)
 
 
 # -- determinants against the cofactor expansion ------------------------------
