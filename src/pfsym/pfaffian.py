@@ -13,23 +13,20 @@ result in it; a determinant of ints is a Fraction.  Float and rational
 arrays are evaluated by pivoted skew elimination in O(n^3) operations;
 their determinants are the square of that pfaffian for a skew matrix
 (0 at odd size) and come from Bareiss elimination for a symmetric one.
-Other scalars, such as Poly, take the memoized expansion along the first
-row (`_subset_pf`, the kernel of the hook expansions in every domain),
-up to 2n = 16, and their determinants the skew embedding
-[[0, M], [-M^T, 0]].  Poly entries enter that kernel packed, once per
-call (`_codec`): each monomial is one int holding its exponents in
-fixed-width fields, so a product of monomials is an integer addition,
-and the result is unpacked once.  The definitional oracles, the sum over
-matchings and the cofactor expansion, live with the tests
-(`tests/pf_oracles.py`).
+Every other route is one call of `_expand`, the memoized first-row
+expansion `_subset_pf` on Poly entries packed once per call: Poly and
+other-ring pfaffians up to 2n = 16 (`generic_pfaffian` among them),
+their determinants by the skew embedding [[0, M], [-M^T, 0]], and both
+hook expansions in every domain.  No route enumerates matchings; the
+definitional oracles live with the tests (`tests/pf_oracles.py`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
-from .matchings import HARD_CAP, enumerate_pfaff
-from .polyring import Poly, _packing, gen
+from .matchings import HARD_CAP
+from .polyring import Poly, _exact, _packing, gen
 
 SYMMETRIC = "symmetric"
 SKEW = "skew"
@@ -49,14 +46,14 @@ def upper_pairs(size: int):
 
 
 def _check_keys(size: int, entries: Mapping[tuple[int, int], object]) -> None:
-    """Refuse entries that are not exactly the upper pairs of `size`, naming the first."""
+    """Refuse entries other than the upper pairs of `size`: name the least missing pair, else the first extra key."""
     expected = set(upper_pairs(size))
     got = set(entries)
     if got != expected:
         missing = sorted(expected - got)
         if missing:
             raise ValueError(f"missing entry {missing[0]}")
-        raise ValueError(f"unexpected entry {sorted(got - expected)[0]}")
+        raise ValueError(f"unexpected entry {next(k for k in entries if k not in expected)}")
 
 
 class TriangularArray:
@@ -131,12 +128,8 @@ def scalar_to_json(v):
 
 
 def scalar_from_json(v):
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, bool):
-        raise ValueError(f"bad scalar {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
+    if isinstance(v, (str, int)) and not isinstance(v, bool):
+        return Fraction(_exact(v, "scalar"))
     if isinstance(v, float):
         return v
     if isinstance(v, list):
@@ -216,15 +209,15 @@ def _into(domain, value):
     return domain(value)
 
 
-def _codec(domain, entries: Mapping[tuple[int, int], object], factors: int):
-    """(pack, unpack) around `_subset_pf`, for sums of products of at most
+def _expand(domain, entries: Mapping[tuple[int, int], object], live: tuple[int, ...], factors: int):
+    """`_subset_pf(entries, live)` in `domain`, a sum of products of at most
     `factors` entries.  Poly entries are packed (`polyring._packing`), so a
-    product of monomials is one integer addition, and `unpack` gives a Poly
-    even when every Poly entry on the way was zero and the sum is an int.
-    Any other domain goes through as it is."""
+    product of monomials is one integer addition, and the sum is unpacked
+    into a Poly even when it is an int; any other sum goes through `_into`."""
     if domain is Poly:
-        return _packing(entries.values(), factors)
-    return (lambda v: v), (lambda v: _into(domain, v))
+        pack, unpack = _packing(entries.values(), factors)
+        return unpack(_subset_pf({p: pack(v) for p, v in entries.items()}, live, {}))
+    return _into(domain, _subset_pf(entries, live, {}))
 
 
 # -- pfaffians ---------------------------------------------------------------
@@ -238,8 +231,8 @@ def pfaffian_direct(arr: TriangularArray):
     the entries: ints give an int, Fractions (ints among them) a Fraction
     and floats a float, all by pivoted skew elimination (`_pf_eliminate`);
     Poly entries give a Poly, and any other scalar its own ring, by the
-    memoized expansion `_subset_pf` for 2n up to HARD_CAP, Poly entries
-    on packed monomials (`_codec`).  A boolean entry, or a float beside a
+    memoized expansion along row 1 (`_expand`) for 2n up to HARD_CAP, Poly
+    entries on packed monomials.  A boolean entry, or a float beside a
     Poly, is a ValueError.
     """
     domain = _domain(arr.entries)
@@ -249,9 +242,7 @@ def pfaffian_direct(arr: TriangularArray):
         return _into(domain, _pf_eliminate(arr.two_n, arr.entries, float if domain is float else Fraction))
     if arr.two_n > HARD_CAP:
         raise ValueError(f"two_n={arr.two_n} exceeds the enumeration cap {HARD_CAP}")
-    pack, unpack = _codec(domain, arr.entries, arr.two_n // 2)
-    entries = {p: pack(v) for p, v in arr.entries.items()}
-    return unpack(_subset_pf(entries, tuple(range(1, arr.two_n + 1)), {}))
+    return _expand(domain, arr.entries, tuple(range(1, arr.two_n + 1)), arr.two_n // 2)
 
 
 def _pf_eliminate(size: int, entries: Mapping[tuple[int, int], object], cast):
@@ -302,28 +293,23 @@ def _pf_eliminate(size: int, entries: Mapping[tuple[int, int], object], cast):
 
 
 def generic_pfaffian(two_n: int) -> Poly:
-    """The pfaffian with generator entries a(i,j), as a polynomial."""
+    """The pfaffian with generator entries a(i,j), as a polynomial: `pfaffian_direct` of that array."""
     if two_n == 0:
         return Poly.const(1)
-    terms = {}
-    for m, s in enumerate_pfaff(two_n):
-        mono = tuple((gen(i, j), 1) for i, j in m.pairs)
-        terms[mono] = s
-    return Poly(terms)
+    return pfaffian_direct(TriangularArray.from_function(two_n, SKEW, lambda i, j: Poly.variable(gen(i, j))))
 
 
 def _subset_pf(entries: Mapping[tuple[int, int], object], live: tuple[int, ...], memo: dict):
-    """Pfaffian of the sub-array on the (sorted) index subset `live`.
+    """Pfaffian of the sub-array on the indices `live`, in that order.
 
-    Expands along the first live hook; relative positions within `live`
-    play the role of indices in the relabeled sub-array.  Uses only upper
-    entries, so it is valid in every mode.  Zero entries are skipped, and
-    a hook whose entries are all zero gives its last entry, so the result
-    stays in the scalar domain of the entries.  `memo` caches each
-    subset's pfaffian across the calls of one expansion.  The kernel is
-    generic: it needs only `*`, `+`, unary `-` and truth testing, so the
-    Poly routes run it on packed polynomials (`_codec`), whose monomial
-    product is one integer addition, and plain ints mix in.
+    Expands along the first live hook: entry (u, v) of the relabeled
+    sub-array, u < v, is entries[(live[u], live[v])], so a sorted `live`
+    reads only upper entries, valid in every mode.  Zero entries are
+    skipped, and a hook whose entries are all zero gives its last entry, so
+    the result stays in the scalar domain of the entries.  `memo` caches
+    each subset's pfaffian across the calls of one expansion.  The kernel
+    needs only `*`, `+`, unary `-` and truth testing, so `_expand` runs it
+    on packed polynomials, and plain ints mix in.
     """
     if not live:
         return 1
@@ -356,26 +342,48 @@ def hook_expand_skew(arr: TriangularArray, s: int):
 
 
 def _hook_expand(arr: TriangularArray, s: int, mode: str):
-    """Sum over j of a(s,j) pf(A without s, j), with the sign of the mode."""
+    """Both hook rules as one memoized expansion (`_expand`).
+
+    The rule for s is the sum over j != s of (-1)^(s+j+1+h) a(s,j)
+    pf(A without s, j): h = 0 and a(s,j) = a(j,s) for j < s in a symmetric
+    array, h = H(s-j) and a(s,j) = -a(j,s) in a skew one.  For j < s both
+    give the term (-1)^(s+j+1) a(j,s) pf, so the rules are one sum.  It is
+    the expansion along live = (s, 1..s-1, s+1..2n) with row s holding
+    a(s,j) for j > s and -a(j,s) for j < s, all times (-1)^(s-1): partner
+    j sits at position t = j - [j > s], which `_subset_pf` signs (-1)^(t-1).
+    A float row goes in as `_FloatHookEntry`s, so that a float result, a
+    zero included, is the float of the rule's own sum.
+    """
     if arr.mode != mode:
         raise ValueError(f"{mode} hook expansion needs a {mode} array, got mode {arr.mode!r}")
     if not 1 <= s <= arr.two_n:
         raise IndexError(f"hook {s} outside 1..{arr.two_n}")
-    pack, unpack = _codec(_domain(arr.entries), arr.entries, arr.two_n // 2)
-    entries = {p: pack(v) for p, v in arr.entries.items()}
-    memo: dict = {}
-    live = tuple(range(1, arr.two_n + 1))
-    total = None
-    for j in live:
-        if j == s:
-            continue
-        rest = tuple(k for k in live if k != s and k != j)
-        term = pack(arr.lookup(s, j)) * _subset_pf(entries, rest, memo)
-        shift = heaviside(s - j) if mode == SKEW else 0
-        if (s + j + 1 + shift) % 2 != 0:
-            term = -term
-        total = term if total is None else total + term
-    return unpack(total)
+    live = (s, *range(1, s), *range(s + 1, arr.two_n + 1))
+    domain = _domain(arr.entries)
+    entries = dict(arr.entries)
+    for k in live[1:]:
+        v = arr.entries[(k, s) if k < s else (s, k)]
+        flip = (k < s) == (s % 2 == 1)
+        if domain is float:
+            # the skew rule reads -a(k,s) for k < s, and -0 of an exact zero is no -0.0
+            low = mode == SKEW and k < s
+            entries[(s, k)] = _FloatHookEntry(-v if low else v, flip != low)
+        else:
+            entries[(s, k)] = -v if flip else v
+    return _expand(domain, entries, live, arr.two_n // 2)
+
+
+class _FloatHookEntry(NamedTuple):
+    """Entry `value` of a float hook row, times -1 if `flip`: `_subset_pf` skips
+    none (a nonempty tuple is true), and the sign falls on the product, as in
+    the hook rule, so a zero sum is -0.0 only when every term of the rule is."""
+
+    value: object
+    flip: bool
+
+    def __mul__(self, other):
+        product = self.value * other
+        return -product if self.flip else product
 
 
 # -- determinants -------------------------------------------------------------
@@ -401,7 +409,7 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     size, and a symmetric one goes through Bareiss elimination.  Poly
     entries give a Poly, and any other scalar its own ring:
     det M = (-1)^(m(m-1)/2) pf [[0, M], [-M^T, 0]] for M of size m, and
-    `_subset_pf` expands that pfaffian along its rows, on packed monomials
+    `_expand` expands that pfaffian along its rows, on packed monomials
     for Poly entries.  It skips the zero blocks, so its memo holds only the
     m 2^m column-subset minors of M, and it takes no size cap.  A boolean
     entry, or a float beside a Poly, is a ValueError.
@@ -417,24 +425,21 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
             # a skew matrix of odd size is singular, and of even size has det = pf^2
             exact = _pf_eliminate(size, entries, Fraction) ** 2 if size % 2 == 0 else Fraction(0)
         else:
-            exact = _bareiss_det(_completed_rows(size, mode, entries, Fraction))
+            exact = _bareiss_det(_completed_rows(size, mode, entries))
         return float(exact) if domain is float else exact
-    pack, unpack = _codec(domain, entries, size)
     embedded = dict.fromkeys(upper_pairs(2 * size), 0)
-    for i, row in enumerate(_completed_rows(size, mode, entries, pack), 1):
-        for j, v in enumerate(row, size + 1):
-            embedded[(i, j)] = v
-    value = unpack(_subset_pf(embedded, tuple(range(1, 2 * size + 1)), {}))
+    for (i, j), v in entries.items():
+        embedded[(i, size + j)], embedded[(j, size + i)] = v, -v if mode == SKEW else v
+    value = _expand(domain, embedded, tuple(range(1, 2 * size + 1)), size)
     return -value if size * (size - 1) // 2 % 2 else value
 
 
-def _completed_rows(size: int, mode: str, entries: Mapping[tuple[int, int], object], cast) -> list[list]:
-    """The rows of the completion, zero diagonal, with every entry cast by `cast`."""
+def _completed_rows(size: int, mode: str, entries: Mapping[tuple[int, int], object]) -> list[list[Fraction]]:
+    """The rows of the completion, zero diagonal, as Fractions."""
     flip = -1 if mode == SKEW else 1
-    cast_entries = {p: cast(v) for p, v in entries.items()}
-    zero = cast(0)
+    exact = {p: Fraction(v) for p, v in entries.items()}
     return [
-        [zero if i == j else cast_entries[(i, j)] if i < j else flip * cast_entries[(j, i)] for j in range(1, size + 1)]
+        [Fraction(0) if i == j else exact[(i, j)] if i < j else flip * exact[(j, i)] for j in range(1, size + 1)]
         for i in range(1, size + 1)
     ]
 

@@ -65,14 +65,17 @@ def _exact(c, what: str = "coefficient") -> Scalar:
 
     Takes ints, Fractions and rational strings ("p/q"); floats, booleans
     and anything else are a ValueError naming `what`, so no binary
-    fraction gets in.
+    fraction gets in, and so is a string with a zero denominator.
     """
     if isinstance(c, bool) or not isinstance(c, (int, Fraction, str)):
         raise ValueError(f"{what} {c!r} is not exact (need an int, a Fraction or a 'p/q' string)")
     if isinstance(c, int):
         return c
     if isinstance(c, str):
-        c = Fraction(c)
+        try:
+            c = Fraction(c)
+        except ZeroDivisionError:
+            raise ValueError(f"{what} {c!r} has a zero denominator") from None
     return c.numerator if c.denominator == 1 else c
 
 
@@ -279,12 +282,21 @@ class Poly:
         ]
 
     @classmethod
-    def from_json_obj(cls, obj: Iterable[dict]) -> Poly:
+    def from_json_obj(cls, obj: list[dict]) -> Poly:
+        """The inverse of `to_json_obj`: a list of {"coeff", "vars"} term
+        objects, each variable a list [family, *indices, exponent] of ints
+        after the family.  Any other shape is a ValueError naming the part."""
+        if not isinstance(obj, list):
+            raise ValueError(f"a polynomial is a list of term objects, got {obj!r}")
         terms: dict[Monomial, Scalar] = {}
         for record in obj:
+            if not (isinstance(record, dict) and {"coeff", "vars"} <= record.keys() and isinstance(record["vars"], list)):
+                raise ValueError(f"bad term record: {record!r}")
             coeff = _exact(record["coeff"])
             mono = []
             for entry in record["vars"]:
+                if not (isinstance(entry, list) and entry and all(type(k) is int for k in entry[1:])):
+                    raise ValueError(f"bad variable record: {entry!r}")
                 family, *rest = entry
                 if family == "x" and len(rest) == 2:
                     mono.append((pos(rest[0]), rest[1]))

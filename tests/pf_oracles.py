@@ -6,6 +6,7 @@ tests call them only at sizes where that is affordable.
 """
 from pfsym.matchings import PfaffPermutation, enumerate_pfaff
 from pfsym.permutations import Permutation
+from pfsym.pfaffian import TriangularArray
 
 
 def matching_sign(m: PfaffPermutation) -> int:
@@ -25,6 +26,27 @@ def pfaffian_sum(arr):
             e = entries[pair]
             prod = e if prod is None else prod * e
         term = prod if s == 1 else -prod
+        total = term if total is None else total + term
+    return total
+
+
+def hook_sum(arr, s: int):
+    """The hook rule along s, term by term over j != s, as the paper states it:
+    (-1)^(s+j+1+h) a(s,j) pf(A without s, j), with a(s,j) read from the
+    mode's completion and h = H(s-j) for a skew array, 0 for a symmetric one.
+    The minors are evaluated by `pfaffian_sum`.  At 2n = 4 each minor is one
+    entry, whatever route evaluates it, so a float result is the rule's own
+    float, the sign of a zero included.
+    """
+    total = None
+    for j in range(1, arr.two_n + 1):
+        if j == s:
+            continue
+        keep = [k for k in range(1, arr.two_n + 1) if k not in (s, j)]
+        minor = TriangularArray.from_function(len(keep), "plain", lambda u, v: arr.entries[(keep[u - 1], keep[v - 1])])
+        h = 1 if arr.mode == "skew" and j < s else 0
+        term = arr.lookup(s, j) * pfaffian_sum(minor)
+        term = -term if (s + j + 1 + h) % 2 else term
         total = term if total is None else total + term
     return total
 

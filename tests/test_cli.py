@@ -435,3 +435,47 @@ def test_array_entry_with_a_float_coefficient_is_refused(tmp_path, capsys):
     path.write_text(json.dumps({"two_n": 4, "mode": "skew", "entries": entries}))
     assert run(["det", str(path)]) == 2
     assert "entry '1,2': bad polynomial scalar: coefficient 0.5 is not exact" in capsys.readouterr().err
+
+
+# -- malformed input: exit 2 with one error line, never a traceback -----------
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["eval", "--hook", "1"], ["det"]])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("1/0", "entry '1,2': scalar '1/0' has a zero denominator"),
+        (
+            [{"coeff": "1/0", "vars": []}],
+            "entry '1,2': bad polynomial scalar: coefficient '1/0' has a zero denominator",
+        ),
+        (["nan"], "entry '1,2': bad polynomial scalar: bad term record: 'nan'"),
+    ],
+    ids=["zero denominator", "zero denominator coefficient", "not a term"],
+)
+def test_malformed_array_entry_is_one_error_line(tmp_path, capsys, argv, entry, message):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"two_n": 2, "mode": "skew", "entries": {"1,2": entry}}))
+    assert run([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "poly, message",
+    [
+        (1, "a polynomial is a list of term objects, got 1"),
+        (["nan"], "bad term record: 'nan'"),
+        ([{"coeff": "1/0", "vars": [["x", 1, 1]]}], "coefficient '1/0' has a zero denominator"),
+        ([{"coeff": 1, "vars": [["x", "1", 1]]}], "bad variable record: ['x', '1', 1]"),
+    ],
+    ids=["a number", "not a term", "zero denominator", "string index"],
+)
+def test_sym_malformed_poly_file_is_one_error_line(tmp_path, capsys, poly, message):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(poly))
+    assert run(["sym", str(path), "--m", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -13,9 +13,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_fraction
-from pf_oracles import pfaffian_sum
+from pf_oracles import hook_sum, pfaffian_sum
 from pfsym import backend
-from pfsym import pfaffian as pfaffian_module
+from pfsym import matchings
 from pfsym.models import COSINE, SQUARE_DIFF, kernel_array, position_polys
 from pfsym.pfaffian import (
     MODES,
@@ -24,6 +24,7 @@ from pfsym.pfaffian import (
     TriangularArray,
     completed_determinant,
     determinant,
+    generic_pfaffian,
     hook_expand_skew,
     hook_expand_symmetric,
     pfaffian_direct,
@@ -150,9 +151,21 @@ DOMAINS = {
     "Poly and ints": lambda i, j: a(i, j) if (i + j) % 2 else i * j,
     "zero Polys": lambda i, j: Poly.zero(),
     "a zero Poly and ints": lambda i, j: Poly.zero() if (i, j) == (1, 2) else i * j,
+    "float, row 2 zero": lambda i, j: 0.0 if 2 in (i, j) else i / j,
+    "float, row 2 exact zeros": lambda i, j: 0 if 2 in (i, j) else i / j,
+    "float, row 2 negative zero": lambda i, j: -0.0 if 2 in (i, j) else -i / j,
+    # along hook 1 every term is -0.0, so the sum is -0.0
+    "float, row 1 zero": lambda i, j: 0.0 if i == 1 else (-1.0) ** (i + j),
+    # along hook 4 of the skew array every term is -0.0, as the skew rule reads -0 = 0 below s
+    "float, column 4 exact zeros": lambda i, j: 0 if j == 4 else (-1.0) ** (i + j + 1),
 }
 
-DET_TYPES = {"int": Fraction, "Fraction": Fraction, "float": float, "float subclass": float}
+DET_TYPES = {name: float for name in DOMAINS if name.startswith("float")} | {"int": Fraction, "Fraction": Fraction}
+
+
+def _bits(value):
+    """A float with the sign of zero made visible; any other value as it is."""
+    return (value, math.copysign(1.0, value)) if isinstance(value, float) else value
 
 
 def test_result_type_follows_the_domain():
@@ -174,7 +187,10 @@ def test_result_type_follows_the_domain():
             arr = _array(4, mode, fill)
             want = type(pfaffian_sum(arr))
             assert type(pfaffian_direct(arr)) is want, (name, mode)
-            assert type(hook(arr, 2)) is want, (name, mode)
+            for s in range(1, 5):
+                # the hook rule's own sum, and for floats its very float, the sign of zero included
+                got = hook(arr, s)
+                assert type(got) is want and _bits(got) == _bits(hook_sum(arr, s)), (name, mode, s)
             det_type = DET_TYPES.get(name, Poly)
             assert type(determinant(arr)) is det_type, (name, mode)
             entries = {p: v for p, v in arr.entries.items() if p[1] <= 3}
@@ -203,11 +219,12 @@ def test_boolean_entry_is_refused(route):
             evaluate(entries)
 
 
-def test_elimination_enumerates_no_matchings_and_ignores_the_cap(monkeypatch, rng):
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumerate_pfaff called")
+def _refuse_matchings(*args, **kwargs):
+    raise AssertionError("perfect matchings enumerated")
 
-    monkeypatch.setattr(pfaffian_module, "enumerate_pfaff", refuse)
+
+def test_elimination_enumerates_no_matchings_and_ignores_the_cap(monkeypatch, rng):
+    monkeypatch.setattr(matchings, "_matchings", _refuse_matchings)
     for two_n in (6, 18):
         assert isinstance(pfaffian_direct(_array(two_n, SKEW, lambda i, j: rng.uniform(-1, 1))), float)
         assert isinstance(pfaffian_direct(_array(two_n, SKEW, lambda i, j: Double(rng.uniform(-1, 1)))), float)
@@ -236,10 +253,7 @@ def test_poly_route_equals_matching_sum():
 
 def test_poly_route_enumerates_no_matchings(monkeypatch):
     want = {two_n: [pfaffian_sum(arr) for arr in _poly_cases(two_n, SKEW)] for two_n in (4, 8)}
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumerate_pfaff called")
-
-    monkeypatch.setattr(pfaffian_module, "enumerate_pfaff", refuse)
+    monkeypatch.setattr(matchings, "_matchings", _refuse_matchings)
     for two_n, values in want.items():
         assert [pfaffian_direct(arr) for arr in _poly_cases(two_n, SKEW)] == values
+        assert generic_pfaffian(two_n) == values[0]  # the pfaffian of the array a(i,j)

@@ -94,7 +94,9 @@ def test_generic_pfaffian_term_structure():
 def test_pfaffian_direct_over_generator_polys_matches_generic():
     for two_n in (4, 6):
         arr = TriangularArray.from_function(two_n, PLAIN, a)
-        assert pfaffian_direct(arr) == generic_pfaffian(two_n)
+        want = pfaffian_sum(arr)
+        assert pfaffian_direct(arr) == want
+        assert generic_pfaffian(two_n) == want
 
 
 def test_hook_symmetric_base_cases():
@@ -146,7 +148,9 @@ def test_determinant_matches_pfaffian_squared(rng):
     for two_n in (2, 4, 6):
         for _ in range(5):
             arr = random_int_array(rng, two_n, SKEW)
-            assert determinant(arr) == pfaffian_direct(arr) ** 2
+            # Bareiss on the completed rows is independent of the skew route
+            det = _bareiss_det([[Fraction(v) for v in row] for row in completed_rows(two_n, SKEW, arr.entries)])
+            assert det == pfaffian_direct(arr) ** 2 == determinant(arr)
 
 
 def test_determinant_squared_difference_goldens():
@@ -190,6 +194,13 @@ def test_completed_determinant_refuses_an_entry_outside_the_size():
             completed_determinant(3, mode, entries)
         with pytest.raises(ValueError, match=r"^unexpected entry \(1, 2\)$"):
             completed_determinant(1, mode, {(1, 2): x(1)})
+
+
+def test_unexpected_keys_of_mixed_types_are_named_in_insertion_order():
+    with pytest.raises(ValueError, match=r"^unexpected entry a$"):
+        TriangularArray(2, SKEW, {(1, 2): 1, "a": 1, 3: 2})
+    with pytest.raises(ValueError, match=r"^unexpected entry 3$"):
+        completed_determinant(2, SKEW, {3: 2, (1, 2): 1, "a": 1})
 
 
 def test_skew_numeric_determinants_match_bareiss(rng):

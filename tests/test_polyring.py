@@ -351,3 +351,24 @@ def test_kernel_array_refuses_a_float_beside_a_poly_position():
     with pytest.raises(ValueError, match="not exact"):
         kernel_array(SQUARE_DIFF, [x(1), 0.5])
     assert kernel_array(SQUARE_DIFF, [x(1), Fraction(1, 2)]).entries[(1, 2)] == (x(1) - Fraction(1, 2)) ** 2
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        1,
+        "a(1,2)",
+        {"coeff": 1, "vars": []},
+        ["nan"],
+        [{"coeff": 1}],
+        [{"coeff": 1, "vars": 3}],
+        [{"coeff": 1, "vars": [3]}],
+        [{"coeff": 1, "vars": [[]]}],
+        [{"coeff": 1, "vars": [["x", 1, 1.5]]}],
+        [{"coeff": 1, "vars": [["a", 1, True, 1]]}],
+        [{"coeff": "1/0", "vars": []}],
+    ],
+)
+def test_malformed_polynomial_json_is_a_value_error(obj):
+    with pytest.raises(ValueError):
+        Poly.from_json_obj(obj)
