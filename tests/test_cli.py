@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -293,6 +294,20 @@ def test_verify_seed_independent_of_selection():
 def test_expand_respects_cap():
     code, _, err = invoke("expand", "18")
     assert code == 2 and "cap" in err
+
+
+# The committed stdout of `pfsym verify all --seed 0`.  A refactor of the
+# runners must leave it byte-identical; regenerate a file only when a
+# check's output is meant to change.
+VERIFY_GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "fmt, name", [("text", "verify_all_seed0.txt"), ("json", "verify_all_seed0.jsonl")]
+)
+def test_verify_all_output_is_golden(capsys, fmt, name):
+    assert run(["verify", "all", "--seed", "0", "--format", fmt]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (VERIFY_GOLDEN / name).read_bytes()
 
 
 # -- golden bytes of the Poly paths ---------------------------------------------
