@@ -1,14 +1,14 @@
 """Committed mutants: a verify check must FAIL when the kernel it guards is broken.
 
 A check that compares a route with itself passes whatever the route
-computes.  Each test here breaks one kernel, runs the check at n <= 3 and
-requires a FAIL line for every n, after a clean run that passes.
+computes.  Each test here breaks one kernel, runs the check at a small n
+and requires a FAIL line for every n, after a clean run that passes.
 """
 import inspect
 
 import pytest
 
-from pfsym import cli, pfaffian
+from pfsym import cli, pfaffian, symmetry
 
 
 def _verify(capsys, check: str, n: str):
@@ -16,14 +16,18 @@ def _verify(capsys, check: str, n: str):
     return code, capsys.readouterr().out.splitlines()
 
 
+def _rewritten(module, kernel, old: str, new: str):
+    """`kernel` of `module` rebuilt from its source with the one line `old` replaced."""
+    source = inspect.getsource(kernel)
+    assert source.count(old) == 1, f"{old.strip()!r} moved in {kernel.__name__}; update the mutant"
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    return namespace[kernel.__name__]
+
+
 def _flip_first_term(kernel):
     """`kernel` rebuilt from its source with the sign of its t = 1 term flipped."""
-    source = inspect.getsource(kernel)
-    target = "        if t % 2 == 0:\n"
-    assert source.count(target) == 1, "the kernel's sign rule moved; update the mutant"
-    namespace = dict(vars(pfaffian))
-    exec(source.replace(target, "        if (t % 2 == 0) != (t == 1):\n"), namespace)
-    return namespace[kernel.__name__]
+    return _rewritten(pfaffian, kernel, "        if t % 2 == 0:\n", "        if (t % 2 == 0) != (t == 1):\n")
 
 
 @pytest.mark.parametrize(
@@ -42,4 +46,64 @@ def test_check_fails_on_its_mutant(monkeypatch, capsys, check, mode, target, mut
     assert code == 1
     assert [line for line in lines if not line.startswith("  ")] == [
         f"FAIL {check} n={n} [{mode}] residual=0" for n in (2, 3)
+    ]
+
+
+def _no_swap_sign(kernel):
+    """`_pf_eliminate` that forgets the sign flip of a pivot swap."""
+    return _rewritten(pfaffian, kernel, "            result = -result\n", "            pass\n")
+
+
+def _one_beta(kernel):
+    """`_cut_search` that tries only beta = 0, so it misses the reflections' cuts."""
+    return _rewritten(symmetry, kernel, "    for beta in (0, 1):\n", "    for beta in (0,):\n")
+
+
+THEOREM1 = "theorem1 n={} [symmetric-gens/{}] residual=0"
+
+
+@pytest.mark.parametrize(
+    "check, n, module, target, mutate, verdicts",
+    [
+        (
+            "hook-oracle", "2..3", pfaffian, "_pf_eliminate", _no_swap_sign,
+            [
+                (f"hook-oracle n={n} [exact,both modes,50 arrays] residual=0",
+                 "hook expansions", "direct pfaffian")
+                for n in (2, 3)
+            ],
+        ),
+        (
+            "theorem1", "4..5", symmetry, "_cut_search", _one_beta,
+            [
+                (THEOREM1.format(4, "cut-search"), "order 8", "dihedral subgroup, order 16"),
+                (THEOREM1.format(5, "cut-search"), "order 10", "dihedral subgroup, order 20"),
+            ],
+        ),
+        (
+            "theorem1", "3", symmetry, "_is_member", lambda kernel: lambda *args: True,
+            [(THEOREM1.format(3, "polynomial-action"), "order 72", "dihedral subgroup, order 12")],
+        ),
+    ],
+    ids=["hook-oracle/swap-sign", "theorem1/cut-search", "theorem1/membership"],
+)
+def test_check_fails_on_its_kernel_mutant(monkeypatch, capsys, check, n, module, target, mutate, verdicts):
+    """A search or elimination kernel broken where its check still runs to the end.
+
+    - `_pf_eliminate` without the sign flip of a pivot swap: `hook-oracle`
+      compares the elimination with `_subset_pf` and fails.  `skew-det` does
+      not catch this mutant, because pf squared hides the sign.
+    - `_cut_search` with beta = 0 only finds the rotations, order 2n of 4n.
+      Dropping one member instead would make `make_group_report` raise a
+      RuntimeError, a traceback and not a FAIL line.
+    - `_is_member` always True: the pair colours alone decide the group at
+      n = 2, and in `g-symmetry` at n = 2..3, so the mutant shows at n = 3.
+    """
+    code, lines = _verify(capsys, check, n)
+    assert code == 0 and lines == [f"PASS {head}" for head, _, _ in verdicts]
+    monkeypatch.setattr(module, target, mutate(getattr(module, target)))
+    code, lines = _verify(capsys, check, n)
+    assert code == 1
+    assert lines == [
+        line for head, lhs, rhs in verdicts for line in (f"FAIL {head}", f"  lhs: {lhs}", f"  rhs: {rhs}")
     ]
