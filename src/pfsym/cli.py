@@ -7,7 +7,6 @@ in every report, so verify runs are reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -137,7 +136,24 @@ def _cmd_sym(args) -> int:
 # -- the verify registry --------------------------------------------------------
 
 
+def _angles(rng, k: int) -> list[float]:
+    return [rng.uniform(-math.pi, math.pi) for _ in range(k)]
+
+
+def _worst(reports) -> tuple[bool, float]:
+    """(all passed, largest residual) over the reports of repeated draws."""
+    ok, worst = True, 0.0
+    for r in reports:
+        ok &= r.passed
+        worst = max(worst, r.residual)
+    return ok, worst
+
+
 def _run_matchings(ns, rng, tol):
+    """`enumerate_pfaff` against the double factorial `matching_count`, and, up
+    to 2n = SYM_CAP, its matchings against a brute-force filter of S_2n.
+    All n fold into one row.
+    """
     counts_ok = True
     detail = []
     for n in ns:
@@ -156,16 +172,14 @@ def _run_matchings(ns, rng, tol):
                 ):
                     brute.add(p.images)
             counts_ok &= canon == brute
-    return [
-        VerificationReport(
-            "matchings", None, "exact", counts_ok, 0.0,
-            f"counts {detail}", "double factorials + brute-force filter",
-        )
-    ]
+    yield (None, "exact", counts_ok, 0.0, f"counts {detail}",
+           "double factorials + brute-force filter")
 
 
 def _run_theorem1(ns, rng, tol):
-    reports = []
+    """The backtrack of `symmetry_group` (n <= 3) or `_cut_search` (n >= 4)
+    against the closure of <sigma, tau> that `make_group_report` builds.
+    """
     for n in ns:
         two_n = 2 * n
         if n <= 3:
@@ -176,262 +190,175 @@ def _run_theorem1(ns, rng, tol):
             route = "cut-search"
         expected = 4 * n if n >= 2 else 2
         ok = rep.equals_dihedral and rep.order == expected
-        reports.append(
-            VerificationReport(
-                "theorem1", n, f"symmetric-gens/{route}", ok, 0.0,
-                f"order {rep.order}", f"dihedral subgroup, order {expected}",
-            )
-        )
-    return reports
+        yield (n, f"symmetric-gens/{route}", ok, 0.0,
+               f"order {rep.order}", f"dihedral subgroup, order {expected}")
 
 
 def _run_dihedral_invariance(ns, rng, tol):
     """The dihedral subgroup <sigma, tau> fixes the generic pfaffian.
 
+    Not two routes: `act` relabels the one pfaffian that `_expand` computes.
     {p : act(p, pf) = pf} is a subgroup, because act is a linear group
     action, so it holds <sigma, tau> once it holds sigma and tau: the
     check acts with those two generators only.
     """
-    reports = []
     for n in ns:
-        two_n = 2 * n
-        pf = generic_pfaffian(two_n)
-        bad = [d for d in dihedral_generators(two_n) if act(d, pf, SYMMETRIC_GENS) != pf]
-        reports.append(
-            VerificationReport(
-                "dihedral-invariance", n, "symmetric-gens", not bad, 0.0,
-                f"{len(bad)} violations", "0 violations",
-            )
-        )
-    return reports
+        pf = generic_pfaffian(2 * n)
+        bad = [d for d in dihedral_generators(2 * n) if act(d, pf, SYMMETRIC_GENS) != pf]
+        yield n, "symmetric-gens", not bad, 0.0, f"{len(bad)} violations", "0 violations"
 
 
 def _run_ssym_skew(ns, rng, tol):
     """On skew generators every p in S_2n acts on the generic pfaffian by its sign.
 
+    Not two routes: `act` relabels the one pfaffian that `_expand` computes.
     {p : act(p, pf) = sgn(p) pf} is a subgroup, because act is a linear
     group action and sgn a homomorphism.  The transposition (1 2) and the
     2n-cycle sigma generate S_2n, so the check acts with those two only.
     """
-    reports = []
     for n in ns:
         two_n = 2 * n
         pf = generic_pfaffian(two_n)
         swap = Permutation([2, 1, *range(3, two_n + 1)])
         cycle = dihedral_generators(two_n)[0]
-        ok = all(
-            act(p, pf, SKEW_GENS) == (pf if p.sign == 1 else -pf)
-            for p in (swap, cycle)
-        )
-        reports.append(
-            VerificationReport(
-                "ssym-skew", n, "skew-gens", ok, 0.0,
-                "sign character" if ok else "violation found", "sign character",
-            )
-        )
-    return reports
+        ok = all(act(p, pf, SKEW_GENS) == (pf if p.sign == 1 else -pf) for p in (swap, cycle))
+        lhs = "sign character" if ok else "violation found"
+        yield n, "skew-gens", ok, 0.0, lhs, "sign character"
 
 
 def _run_theorem2(ns, rng, tol):
-    reports = []
+    """Not two routes: `pfaffian_direct` on the collapsed array against c times
+    `pfaffian_direct` on the reduced one, by `_expand` on the square-difference
+    kernel and by float elimination on the cosine kernel.
+    """
+    numeric_tol = tol if tol is not None else 1e-12
     for n in ns:
         two_n = 2 * n
         xs = position_polys(two_n)
-        sub = [verify_theorem2(SQUARE_DIFF, xs, s) for s in range(1, two_n + 1)]
-        reports.append(
-            VerificationReport(
-                "theorem2", n, "square-diff/exact,all s", all(r.passed for r in sub),
-                0.0, "collapsed pfaffian", "c * reduced pfaffian",
-            )
+        ok = all(verify_theorem2(SQUARE_DIFF, xs, s).passed for s in range(1, two_n + 1))
+        yield n, "square-diff/exact,all s", ok, 0.0, "collapsed pfaffian", "c * reduced pfaffian"
+        xs = _angles(rng, two_n)
+        ok, worst = _worst(
+            verify_theorem2(COSINE, xs, s, tol=numeric_tol) for s in range(1, two_n + 1)
         )
-        numeric_tol = tol if tol is not None else 1e-12
-        xs_num = [rng.uniform(-math.pi, math.pi) for _ in range(two_n)]
-        sub = [
-            verify_theorem2(COSINE, xs_num, s, tol=numeric_tol)
-            for s in range(1, two_n + 1)
-        ]
-        reports.append(
-            VerificationReport(
-                "theorem2", n, "cosine/numeric,all s", all(r.passed for r in sub),
-                max(r.residual for r in sub), "collapsed pfaffian", "c * reduced pfaffian",
-            )
-        )
-    return reports
+        yield n, "cosine/numeric,all s", ok, worst, "collapsed pfaffian", "c * reduced pfaffian"
 
 
 def _run_theorem3(ns, rng, tol):
-    return [verify_theorem3(n) for n in ns]
+    """Elimination at the integer points against the closed form
+    (-2)^(n-1) (2n-1), and for n <= 4 `_expand` against -(-2)^(n-1) g.
+    """
+    for n in ns:
+        r = verify_theorem3(n)
+        yield n, r.mode, r.passed, r.residual, r.lhs, r.rhs
 
 
 def _run_theorem4(ns, rng, tol):
-    reports = []
+    """Float elimination against the closed form cos(alternating sum)."""
     for n in ns:
         n_tol = tol if tol is not None else (1e-12 if n <= 5 else 1e-10)
-        worst = 0.0
-        ok = True
-        for _ in range(100):
-            xs = [rng.uniform(-math.pi, math.pi) for _ in range(2 * n)]
-            r = verify_theorem4(n, xs, tol=n_tol)
-            worst = max(worst, r.residual)
-            ok &= r.passed
-        reports.append(
-            VerificationReport(
-                "theorem4", n, "cosine/numeric,100 draws", ok, worst,
-                "pfaffian of cos(x_i - x_j)", "cos(alternating sum)",
-            )
-        )
-    return reports
+        ok, worst = _worst(verify_theorem4(n, _angles(rng, 2 * n), tol=n_tol) for _ in range(100))
+        yield (n, "cosine/numeric,100 draws", ok, worst,
+               "pfaffian of cos(x_i - x_j)", "cos(alternating sum)")
 
 
 def _run_g_symmetry(ns, rng, tol):
-    reports = []
+    """`sym_of_g`, the backtrack of `symmetry_group` on g, against the closure
+    of <sigma, tau>; and `classify_runs` against membership in that closure
+    over all of S_2n.
+    """
     for n in ns:
+        two_n = 2 * n
         # the group half stops at n = 3 only so the default output keeps its
         # lines; sym_of_g(8) would take about 10 ms (2-core VM)
         if n <= 3:
-            rep = sym_of_g(2 * n)
+            rep = sym_of_g(two_n)
             ok = rep.equals_dihedral and rep.order == 4 * n
-            reports.append(
-                VerificationReport(
-                    "g-symmetry", n, "group", ok, 0.0,
-                    f"order {rep.order}", f"dihedral subgroup, order {4 * n}",
-                )
-            )
-        two_n = 2 * n
+            yield n, "group", ok, 0.0, f"order {rep.order}", f"dihedral subgroup, order {4 * n}"
         members = {p.images for p in dihedral_group(two_n)}
         ok = all(
-            classify_runs(p).is_dihedral == (p.images in members)
-            for p in enumerate_sym(two_n)
+            classify_runs(p).is_dihedral == (p.images in members) for p in enumerate_sym(two_n)
         )
-        reports.append(
-            VerificationReport(
-                "g-symmetry", n, "run-classifier", ok, 0.0,
-                "run shapes", "subgroup membership",
-            )
-        )
-    return reports
+        yield n, "run-classifier", ok, 0.0, "run shapes", "subgroup membership"
 
 
 def _run_trig1(ns, rng, tol):
+    """The cosine product difference against the sine product, both in floats."""
     t = tol if tol is not None else 1e-13
-    worst = 0.0
-    ok = True
-    for _ in range(1000):
-        r = verify_trig_lemma1(
-            rng.uniform(-math.pi, math.pi),
-            rng.uniform(-math.pi, math.pi),
-            rng.uniform(-math.pi, math.pi),
-            tol=t,
-        )
-        worst = max(worst, r.residual)
-        ok &= r.passed
-    return [
-        VerificationReport(
-            "trig1", None, "numeric,1000 draws", ok, worst,
-            "cosine product difference", "sine product",
-        )
-    ]
+    ok, worst = _worst(verify_trig_lemma1(*_angles(rng, 3), tol=t) for _ in range(1000))
+    yield None, "numeric,1000 draws", ok, worst, "cosine product difference", "sine product"
 
 
 def _run_trig2(ns, rng, tol):
+    """The alternating sine and cosine sums against their closed forms, in floats."""
     t = tol if tol is not None else 1e-12
-    worst = 0.0
-    ok = True
-    for _ in range(1000):
-        k = rng.randint(1, 8)
-        r = verify_trig_lemma2(
-            [rng.uniform(-math.pi, math.pi) for _ in range(k)], tol=t
-        )
-        worst = max(worst, r.residual)
-        ok &= r.passed
-    return [
-        VerificationReport(
-            "trig2", None, "numeric,1000 draws", ok, worst,
-            "alternating sine/cosine sums", "closed forms",
-        )
-    ]
-
-
-def _square_diff_entries(size: int) -> dict:
-    return {(i, j): (x(i) - x(j)) ** 2 for i, j in upper_pairs(size)}
+    ok, worst = _worst(
+        verify_trig_lemma2(_angles(rng, rng.randint(1, 8)), tol=t) for _ in range(1000)
+    )
+    yield None, "numeric,1000 draws", ok, worst, "alternating sine/cosine sums", "closed forms"
 
 
 def _run_det_examples(ns, rng, tol):
-    d2 = completed_determinant(2, SYMMETRIC, _square_diff_entries(2))
-    d3 = completed_determinant(3, SYMMETRIC, _square_diff_entries(3))
-    d4 = completed_determinant(4, SYMMETRIC, _square_diff_entries(4))
-    d5 = completed_determinant(5, SYMMETRIC, _square_diff_entries(5))
-    # sizes 2 and 3 against their cofactor expansions: det [[0,c],[c,0]] = -c^2
-    # with c = (x1-x2)^2, and 2abc for the zero-diagonal symmetric 3x3
+    """`_expand` on the skew embedding of `completed_determinant` against hand
+    expansions: det [[0,c],[c,0]] = -c^2 with c = (x1-x2)^2, 2abc for the
+    zero-diagonal symmetric 3x3, and 0 at rank 3 < size.
+    """
+    d2, d3, d4, d5 = (
+        completed_determinant(k, SYMMETRIC, {(i, j): (x(i) - x(j)) ** 2 for i, j in upper_pairs(k)})
+        for k in (2, 3, 4, 5)
+    )
     ok = (
         d2 == -((x(1) - x(2)) ** 4)
         and d3 == 2 * ((x(1) - x(2)) * (x(2) - x(3)) * (x(3) - x(1))) ** 2
         and d4 == Poly.zero()
         and d5 == Poly.zero()
     )
-    return [
-        VerificationReport(
-            "det-examples", None, "symbolic", ok, 0.0,
-            "determinants of squared-difference matrices, sizes 2..5",
-            "-(x1-x2)^4, 2((x1-x2)(x2-x3)(x3-x1))^2, 0, 0",
-        )
-    ]
-
-
-def _random_fraction(rng) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    yield (
+        None, "symbolic", ok, 0.0, "determinants of squared-difference matrices, sizes 2..5",
+        "-(x1-x2)^4, 2((x1-x2)(x2-x3)(x3-x1))^2, 0, 0",
+    )
 
 
 def _run_hook_oracle(ns, rng, tol):
-    reports = []
+    """Every hook expansion, by `_subset_pf`, against `pfaffian_direct`, by
+    `_pf_eliminate`, on random Fraction arrays.
+    """
     for n in ns:
         two_n = 2 * n
+        pairs = list(upper_pairs(two_n))
         ok = True
         for mode, expand in ((SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)):
             for _ in range(50):
-                arr = TriangularArray(
-                    two_n, mode,
-                    {p: _random_fraction(rng) for p in upper_pairs(two_n)},
-                )
+                entries = {p: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for p in pairs}
+                arr = TriangularArray(two_n, mode, entries)
                 direct = pfaffian_direct(arr)
                 ok &= all(expand(arr, s) == direct for s in range(1, two_n + 1))
-        reports.append(
-            VerificationReport(
-                "hook-oracle", n, "exact,both modes,50 arrays", ok, 0.0,
-                "hook expansions", "direct pfaffian",
-            )
-        )
-    return reports
+        yield n, "exact,both modes,50 arrays", ok, 0.0, "hook expansions", "direct pfaffian"
 
 
 def _run_skew_det(ns, rng, tol):
-    reports = []
+    """`_bareiss_det` on the completed rows against `_pf_eliminate` squared,
+    not the pf^2 of `determinant`, on random integral skew arrays.
+    """
     for n in ns:
         two_n = 2 * n
+        pairs = list(upper_pairs(two_n))
         ok = True
         for _ in range(50):
-            arr = TriangularArray(
-                two_n, SKEW,
-                {p: Fraction(rng.randint(-9, 9)) for p in upper_pairs(two_n)},
-            )
-            # Bareiss elimination on the completed rows, not the pf^2 of `determinant`
+            arr = TriangularArray(two_n, SKEW, {p: Fraction(rng.randint(-9, 9)) for p in pairs})
             det = _bareiss_det(_completed_rows(two_n, SKEW, arr.entries))
             ok &= det == pfaffian_direct(arr) ** 2
-        reports.append(
-            VerificationReport(
-                "skew-det", n, "exact,50 arrays", ok, 0.0,
-                "determinant", "pfaffian squared",
-            )
-        )
-    return reports
+        yield n, "exact,50 arrays", ok, 0.0, "determinant", "pfaffian squared"
 
 
-# name -> (runner, default n list, the n range (lo, hi) the runner handles);
-# hi None is unbounded, and checks that take no n have no range.  A runner
-# is passed only the n of its range; naming a check with none of them is an
-# error.  dihedral-invariance and ssym-skew stop at n = 6, where each takes
-# about 0.3 s; at n = 7, generic_pfaffian(14) alone takes 2.4 s and 112 MB
-# (2-core VM, Python 3.11).
+# name -> (runner, default n list, the n range (lo, hi) the runner handles).
+# A runner takes (ns, rng, tol) and yields rows (n, mode, passed, residual,
+# lhs, rhs), which `_cmd_verify` makes reports named by the key and seeded
+# by --seed.  hi None is unbounded, and checks that take no n have no range.
+# A runner is passed only the n of its range; naming a check with none of
+# them is an error.  dihedral-invariance and ssym-skew stop at n = 6, where
+# each takes about 0.3 s; at n = 7, generic_pfaffian(14) alone takes 2.4 s
+# and 112 MB (2-core VM, Python 3.11).
 CHECKS = {
     "matchings": (_run_matchings, [1, 2, 3, 4, 5], (1, 5)),
     "theorem1": (_run_theorem1, [1, 2, 3], (1, 16)),
@@ -498,8 +425,8 @@ def _cmd_verify(args) -> int:
         if not ns:
             continue
         rng = random.Random(f"{args.seed}:{name}")
-        for report in runner(ns, rng, args.tol):
-            report = dataclasses.replace(report, seed=args.seed)
+        for row in runner(ns, rng, args.tol):
+            report = VerificationReport(name, *row, seed=args.seed)
             all_ok &= report.passed
             status = "PASS" if report.passed else "FAIL"
             text = f"{status} {report.check}" + (f" n={report.n}" if report.n is not None else "")
