@@ -15,17 +15,18 @@ their determinants are the square of that pfaffian for a skew matrix
 (0 at odd size) and come from Bareiss elimination for a symmetric one.
 Every other route is one call of `_expand`, the memoized first-row
 expansion `_subset_pf` on Poly entries packed once per call: Poly and
-other-ring pfaffians up to 2n = 16 (`generic_pfaffian` among them),
-their determinants by the skew embedding [[0, M], [-M^T, 0]], and both
-hook expansions in every domain.  No route enumerates matchings; the
+other-ring pfaffians up to 2n = EXPAND_CAP (`generic_pfaffian` among
+them), their determinants by the skew embedding [[0, M], [-M^T, 0]] at
+any size, and both hook expansions in every domain, under the same cap
+for Poly and other-ring arrays.  No route enumerates matchings; the
 definitional oracles live with the tests (`tests/pf_oracles.py`).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
-from .matchings import HARD_CAP
 from .polyring import Poly, _exact, _packing, gen
 
 SYMMETRIC = "symmetric"
@@ -220,6 +221,18 @@ def _expand(domain, entries: Mapping[tuple[int, int], object], live: tuple[int, 
     return _into(domain, _subset_pf(entries, live, {}))
 
 
+# Largest 2n that a Poly or other-ring pfaffian or hook expansion takes;
+# generic_pfaffian(14) already takes about 2.4 s and 112 MB (2-core VM).
+# 16 is the old matching cap, not yet a limit derived from the expansion's
+# cost.  Determinants take no cap.
+EXPAND_CAP = 16
+
+
+def _check_expand_cap(two_n: int) -> None:
+    if two_n > EXPAND_CAP:
+        raise ValueError(f"two_n={two_n} exceeds the memoized-expansion cap {EXPAND_CAP}")
+
+
 # -- pfaffians ---------------------------------------------------------------
 
 
@@ -231,7 +244,7 @@ def pfaffian_direct(arr: TriangularArray):
     the entries: ints give an int, Fractions (ints among them) a Fraction
     and floats a float, all by pivoted skew elimination (`_pf_eliminate`);
     Poly entries give a Poly, and any other scalar its own ring, by the
-    memoized expansion along row 1 (`_expand`) for 2n up to HARD_CAP, Poly
+    memoized expansion along row 1 (`_expand`) for 2n up to EXPAND_CAP, Poly
     entries on packed monomials.  A boolean entry, or a float beside a
     Poly, is a ValueError.
     """
@@ -240,8 +253,7 @@ def pfaffian_direct(arr: TriangularArray):
         return 1
     if domain in (int, Fraction, float):
         return _into(domain, _pf_eliminate(arr.two_n, arr.entries, float if domain is float else Fraction))
-    if arr.two_n > HARD_CAP:
-        raise ValueError(f"two_n={arr.two_n} exceeds the enumeration cap {HARD_CAP}")
+    _check_expand_cap(arr.two_n)
     return _expand(domain, arr.entries, tuple(range(1, arr.two_n + 1)), arr.two_n // 2)
 
 
@@ -352,7 +364,9 @@ def _hook_expand(arr: TriangularArray, s: int, mode: str):
     a(s,j) for j > s and -a(j,s) for j < s, all times (-1)^(s-1): partner
     j sits at position t = j - [j > s], which `_subset_pf` signs (-1)^(t-1).
     A float row goes in as `_FloatHookEntry`s, so that a float result, a
-    zero included, is the float of the rule's own sum.
+    zero included, is the float of the rule's own sum.  Poly and other-ring
+    arrays above 2n = EXPAND_CAP are refused before any expansion, as in
+    `pfaffian_direct`.
     """
     if arr.mode != mode:
         raise ValueError(f"{mode} hook expansion needs a {mode} array, got mode {arr.mode!r}")
@@ -360,6 +374,8 @@ def _hook_expand(arr: TriangularArray, s: int, mode: str):
         raise IndexError(f"hook {s} outside 1..{arr.two_n}")
     live = (s, *range(1, s), *range(s + 1, arr.two_n + 1))
     domain = _domain(arr.entries)
+    if domain not in (int, Fraction, float):
+        _check_expand_cap(arr.two_n)
     entries = dict(arr.entries)
     for k in live[1:]:
         v = arr.entries[(k, s) if k < s else (s, k)]
@@ -404,7 +420,9 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     must be exactly the upper pairs of `size`; a missing or an extra one
     is a ValueError, as for a TriangularArray.  `_domain` picks the route
     and the result type from the entries.  Ints and Fractions give a
-    Fraction, and floats the float of that exact value: a skew matrix has
+    Fraction, and floats the float of that exact value, or a ValueError
+    naming the overflow when it does not fit a float (never +-inf, which is
+    not JSON): a skew matrix has
     det = pf^2 at even size (by `_pf_eliminate` in Fractions) and 0 at odd
     size, and a symmetric one goes through Bareiss elimination.  Poly
     entries give a Poly, and any other scalar its own ring:
@@ -426,7 +444,15 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
             exact = _pf_eliminate(size, entries, Fraction) ** 2 if size % 2 == 0 else Fraction(0)
         else:
             exact = _bareiss_det(_completed_rows(size, mode, entries))
-        return float(exact) if domain is float else exact
+        if domain is not float:
+            return exact
+        try:
+            return float(exact)
+        except OverflowError:
+            e = round(math.log10(abs(exact.numerator)) - math.log10(exact.denominator))
+            raise ValueError(
+                f"the determinant overflows a float (|det| is about 10^{e}); exact entries give its exact value"
+            ) from None
     embedded = dict.fromkeys(upper_pairs(2 * size), 0)
     for (i, j), v in entries.items():
         embedded[(i, size + j)], embedded[(j, size + i)] = v, -v if mode == SKEW else v

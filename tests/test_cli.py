@@ -494,3 +494,37 @@ def test_sym_malformed_poly_file_is_one_error_line(tmp_path, capsys, poly, messa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_eval_hook_refuses_a_poly_array_past_the_expansion_cap(tmp_path, capsys):
+    entries = {f"{i},{j}": [{"coeff": "1", "vars": [["x", i, 1]]}] for i, j in upper_pairs(18)}
+    path = tmp_path / "poly18.json"
+    path.write_text(json.dumps({"two_n": 18, "mode": "symmetric", "entries": entries}))
+    assert run(["eval", str(path), "--hook", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: two_n=18 exceeds the memoized-expansion cap 16\n"
+
+
+# -- float determinants that do not fit a float -----------------------------------
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "obj, magnitude",
+    [
+        ({"two_n": 2, "mode": "skew", "entries": {"1,2": 1e308}}, "10^616"),
+        ({"size": 2, "mode": "symmetric", "entries": {"1,2": 1e200}}, "10^400"),
+    ],
+    ids=["skew 1e308", "symmetric 1e200"],
+)
+def test_float_determinant_overflow_is_one_error_line(tmp_path, capsys, obj, magnitude, fmt):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    assert run(["det", str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the determinant overflows a float (|det| is about {magnitude}); "
+        "exact entries give its exact value\n"
+    )

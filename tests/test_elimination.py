@@ -16,6 +16,7 @@ from conftest import random_fraction
 from pf_oracles import hook_sum, pfaffian_sum
 from pfsym import backend
 from pfsym import matchings
+from pfsym import pfaffian
 from pfsym.models import COSINE, SQUARE_DIFF, kernel_array, position_polys
 from pfsym.pfaffian import (
     MODES,
@@ -232,8 +233,21 @@ def test_elimination_enumerates_no_matchings_and_ignores_the_cap(monkeypatch, rn
 
 
 def test_poly_arrays_keep_the_enumeration_cap():
-    with pytest.raises(ValueError, match="enumeration cap 16"):
+    with pytest.raises(ValueError, match="memoized-expansion cap 16"):
         pfaffian_direct(_array(18, SKEW, a))
+
+
+def _refuse_expansion(*args):
+    raise AssertionError("the refusal must come before any expansion")
+
+
+@pytest.mark.parametrize("mode, expand", [(SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)])
+def test_poly_hooks_keep_the_expansion_cap(monkeypatch, mode, expand):
+    # an int hook takes no cap: a zero array at 2n = 18 expands at once
+    assert expand(_array(18, mode, lambda i, j: 0), 1) == 0
+    monkeypatch.setattr(pfaffian, "_expand", _refuse_expansion)
+    with pytest.raises(ValueError, match="^two_n=18 exceeds the memoized-expansion cap 16$"):
+        expand(_array(18, mode, a), 1)
 
 
 def _poly_cases(two_n, mode):
