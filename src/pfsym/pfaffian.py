@@ -223,8 +223,8 @@ def _expand(domain, entries: Mapping[tuple[int, int], object], live: tuple[int, 
 
 # Largest 2n that a Poly or other-ring pfaffian or hook expansion takes;
 # generic_pfaffian(14) already takes about 2.4 s and 112 MB (2-core VM).
-# 16 is the old matching cap, not yet a limit derived from the expansion's
-# cost.  Determinants take no cap.
+# 16 is not yet a limit derived from the expansion's measured cost.
+# Determinants take no cap.
 EXPAND_CAP = 16
 
 
@@ -420,11 +420,11 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     must be exactly the upper pairs of `size`; a missing or an extra one
     is a ValueError, as for a TriangularArray.  `_domain` picks the route
     and the result type from the entries.  Ints and Fractions give a
-    Fraction, and floats the float of that exact value, or a ValueError
-    naming the overflow when it does not fit a float (never +-inf, which is
-    not JSON): a skew matrix has
+    Fraction, and floats the float of that exact value: a skew matrix has
     det = pf^2 at even size (by `_pf_eliminate` in Fractions) and 0 at odd
-    size, and a symmetric one goes through Bareiss elimination.  Poly
+    size, and a symmetric one goes through Bareiss elimination.  A value
+    that does not fit a float is a ValueError naming the overflow, never
+    +-inf, which JSON cannot hold.  Poly
     entries give a Poly, and any other scalar its own ring:
     det M = (-1)^(m(m-1)/2) pf [[0, M], [-M^T, 0]] for M of size m, and
     `_expand` expands that pfaffian along its rows, on packed monomials
