@@ -227,9 +227,9 @@ def _run_ssym_skew(ns, rng, tol):
 
 
 def _run_theorem2(ns, rng, tol):
-    """Not two routes: `pfaffian_direct` on the collapsed array against c times
-    `pfaffian_direct` on the reduced one, by `_expand` on the square-difference
-    kernel and by float elimination on the cosine kernel.
+    """The collapse identity.  Not two routes: `pfaffian_direct` of the collapsed
+    array against c times `pfaffian_direct` of the reduced one, by `_expand` for
+    the square-difference kernel and by float elimination for the cosine one.
     """
     numeric_tol = tol if tol is not None else 1e-12
     for n in ns:
