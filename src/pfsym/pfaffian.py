@@ -10,15 +10,19 @@ completion.  The hook expansions and the determinant do use the mode.
 Scalars are pluggable: ints, Fractions, floats, Poly or any other ring.
 Each route reads the scalar domain once (`_domain`) and returns its
 result in it; a determinant of ints is a Fraction.  Float and rational
-arrays are evaluated by pivoted skew elimination in O(n^3) operations;
-their determinants are the square of that pfaffian for a skew matrix
-(0 at odd size) and come from Bareiss elimination for a symmetric one.
-Every other route is one call of `_expand`, the memoized first-row
-expansion `_subset_pf` on Poly entries packed once per call: Poly and
-other-ring pfaffians up to 2n = EXPAND_CAP (`generic_pfaffian` among
-them), their determinants by the skew embedding [[0, M], [-M^T, 0]] at
-any size, and both hook expansions in every domain, under the same cap
-for Poly and other-ring arrays.  No route enumerates matchings; the
+arrays are evaluated by pivoted skew elimination in O(n^3) operations
+(`_pf_eliminate`); their determinants are the square of that pfaffian for
+a skew matrix (0 at odd size), and come from symmetric elimination with
+1x1 and 2x2 pivots (`_sym_det`) for a symmetric one, both in Fractions.
+A float pfaffian, hook expansion or determinant that overflows is a
+ValueError naming the overflow, never +-inf or nan, which JSON cannot
+hold.  Bareiss elimination (`_bareiss_det`) is kept as the independent
+route of `verify skew-det`.  Every other route is one call of `_expand`,
+the memoized first-row expansion `_subset_pf` on Poly entries packed once
+per call: Poly and other-ring pfaffians up to 2n = EXPAND_CAP
+(`generic_pfaffian` among them), their determinants by the skew embedding
+[[0, M], [-M^T, 0]] at any size, and both hook expansions in every domain,
+under the same cap for Poly and other-ring arrays.  No route enumerates matchings; the
 definitional oracles live with the tests (`tests/pf_oracles.py`).
 """
 from __future__ import annotations
@@ -131,7 +135,7 @@ def scalar_to_json(v):
 def scalar_from_json(v):
     if isinstance(v, (str, int)) and not isinstance(v, bool):
         return Fraction(_exact(v, "scalar"))
-    if isinstance(v, float):
+    if isinstance(v, float) and math.isfinite(v):
         return v
     if isinstance(v, list):
         try:
@@ -216,9 +220,20 @@ def _expand(domain, entries: Mapping[tuple[int, int], object], live: tuple[int, 
     product of monomials is one integer addition, and the sum is unpacked
     into a Poly even when it is an int; any other sum goes through `_into`."""
     if domain is Poly:
-        pack, unpack = _packing(entries.values(), factors)
-        return unpack(_subset_pf({p: pack(v) for p, v in entries.items()}, live, {}))
+        # a value placed at several positions is one object, scanned and packed once
+        distinct = {id(v): v for v in entries.values()}
+        pack, unpack = _packing(distinct.values(), factors)
+        packed = {k: pack(v) for k, v in distinct.items()}
+        return unpack(_subset_pf({p: packed[id(v)] for p, v in entries.items()}, live, {}))
     return _into(domain, _subset_pf(entries, live, {}))
+
+
+def _finite(value, what: str):
+    """`value`, unless it is a float that overflowed to +-inf or nan, which
+    JSON cannot hold: then a ValueError naming the overflow."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"the {what} overflows a float; exact entries give its exact value")
+    return value
 
 
 # Largest 2n that a Poly or other-ring pfaffian or hook expansion takes;
@@ -246,13 +261,16 @@ def pfaffian_direct(arr: TriangularArray):
     Poly entries give a Poly, and any other scalar its own ring, by the
     memoized expansion along row 1 (`_expand`) for 2n up to EXPAND_CAP, Poly
     entries on packed monomials.  A boolean entry, or a float beside a
-    Poly, is a ValueError.
+    Poly, is a ValueError, and so is a float result that overflowed to
+    +-inf or nan; every finite float result is returned as computed.
     """
     domain = _domain(arr.entries)
     if arr.two_n == 0:
         return 1
-    if domain in (int, Fraction, float):
-        return _into(domain, _pf_eliminate(arr.two_n, arr.entries, float if domain is float else Fraction))
+    if domain is float:
+        return _finite(_into(float, _pf_eliminate(arr.two_n, arr.entries, float)), "pfaffian")
+    if domain in (int, Fraction):
+        return _into(domain, _pf_eliminate(arr.two_n, arr.entries, Fraction))
     _check_expand_cap(arr.two_n)
     return _expand(domain, arr.entries, tuple(range(1, arr.two_n + 1)), arr.two_n // 2)
 
@@ -300,6 +318,66 @@ def _pf_eliminate(size: int, entries: Mapping[tuple[int, int], object], cast):
                 w = r[j + 2] + vi * u[j] - ui * v[j]
                 b[i][j] = w
                 b[j][i] = -w
+        a = b
+    return result
+
+
+def _sym_det(size: int, entries: Mapping[tuple[int, int], object]) -> Fraction:
+    """Determinant of the symmetric completion, zero diagonal, by symmetric
+    pivoted elimination in Fractions.
+
+    The exact form of Bunch & Kaufman, Math. Comp. 31 (1977), written as
+    `_pf_eliminate`.  A symmetric swap of two indices (rows and columns
+    together) leaves the determinant unchanged.  If some diagonal entry is
+    nonzero, the first one is swapped to the front and is a 1x1 pivot d:
+    the result takes the factor d, and the trailing block the update
+    a[i][j] -= a[0][i] * (a[0][j] / d).  Otherwise the first nonzero b of row
+    0 is swapped into position 1, and [[0, b], [b, 0]] is a 2x2 pivot: the
+    factor is -b^2, and with x = row 0 / b and y = row 1 the update is
+    a[i][j] -= x[i]*y[j] + y[i]*x[j], `_pf_eliminate`'s update with the sign
+    of one term changed.  A zero row 0 under a zero diagonal gives 0.  Each
+    update is computed on and above the diagonal and mirrored.
+    """
+    a = [[0] * size for _ in range(size)]
+    for (i, j), v in entries.items():
+        a[i - 1][j - 1] = a[j - 1][i - 1] = Fraction(v)
+    result = Fraction(1)
+    while a:
+        n = len(a)
+        k = next((i for i in range(n) if a[i][i] != 0), None)
+        if k is not None:
+            if k:
+                a[0], a[k] = a[k], a[0]
+                for r in a:
+                    r[0], r[k] = r[k], r[0]
+            d = a[0][0]
+            result *= d
+            u = a[0][1:]
+            x = [w / d for w in u]
+            m = n - 1
+            b = [[0] * m for _ in range(m)]
+            for i, (ui, r) in enumerate(zip(u, a[1:])):
+                bi = b[i]
+                for j in range(i, m):
+                    bi[j] = b[j][i] = r[j + 1] - ui * x[j]
+        else:
+            k = next((j for j in range(1, n) if a[0][j] != 0), None)
+            if k is None:
+                return Fraction(0)
+            if k != 1:
+                a[1], a[k] = a[k], a[1]
+                for r in a:
+                    r[1], r[k] = r[k], r[1]
+            p = a[0][1]
+            result *= -p * p
+            x = [w / p for w in a[0][2:]]
+            y = a[1][2:]
+            m = n - 2
+            b = [[0] * m for _ in range(m)]
+            for i, (xi, yi, r) in enumerate(zip(x, y, a[2:])):
+                bi = b[i]
+                for j in range(i, m):
+                    bi[j] = b[j][i] = r[j + 2] - xi * y[j] - yi * x[j]
         a = b
     return result
 
@@ -364,9 +442,9 @@ def _hook_expand(arr: TriangularArray, s: int, mode: str):
     a(s,j) for j > s and -a(j,s) for j < s, all times (-1)^(s-1): partner
     j sits at position t = j - [j > s], which `_subset_pf` signs (-1)^(t-1).
     A float row goes in as `_FloatHookEntry`s, so that a float result, a
-    zero included, is the float of the rule's own sum.  Poly and other-ring
-    arrays above 2n = EXPAND_CAP are refused before any expansion, as in
-    `pfaffian_direct`.
+    zero included, is the float of the rule's own sum; a float sum that
+    overflowed is a ValueError, as in `pfaffian_direct`.  Poly and other-ring
+    arrays above 2n = EXPAND_CAP are refused before any expansion, as there.
     """
     if arr.mode != mode:
         raise ValueError(f"{mode} hook expansion needs a {mode} array, got mode {arr.mode!r}")
@@ -386,7 +464,7 @@ def _hook_expand(arr: TriangularArray, s: int, mode: str):
             entries[(s, k)] = _FloatHookEntry(-v if low else v, flip != low)
         else:
             entries[(s, k)] = -v if flip else v
-    return _expand(domain, entries, live, arr.two_n // 2)
+    return _finite(_expand(domain, entries, live, arr.two_n // 2), "hook expansion")
 
 
 class _FloatHookEntry(NamedTuple):
@@ -422,13 +500,15 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     and the result type from the entries.  Ints and Fractions give a
     Fraction, and floats the float of that exact value: a skew matrix has
     det = pf^2 at even size (by `_pf_eliminate` in Fractions) and 0 at odd
-    size, and a symmetric one goes through Bareiss elimination.  A value
-    that does not fit a float is a ValueError naming the overflow, never
-    +-inf, which JSON cannot hold.  Poly
-    entries give a Poly, and any other scalar its own ring:
+    size, and a symmetric one goes through `_sym_det`, symmetric
+    elimination in Fractions with 1x1 and 2x2 pivots.  A value that does
+    not fit a float is a ValueError naming the overflow, never +-inf, which
+    JSON cannot hold.  Poly entries give a Poly, and any other scalar its
+    own ring:
     det M = (-1)^(m(m-1)/2) pf [[0, M], [-M^T, 0]] for M of size m, and
     `_expand` expands that pfaffian along its rows, on packed monomials
-    for Poly entries.  It skips the zero blocks, so its memo holds only the
+    for Poly entries; a symmetric entry sits in both halves as one object,
+    which is packed once.  It skips the zero blocks, so its memo holds only the
     m 2^m column-subset minors of M, and it takes no size cap.  A boolean
     entry, or a float beside a Poly, is a ValueError.
     """
@@ -443,7 +523,7 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
             # a skew matrix of odd size is singular, and of even size has det = pf^2
             exact = _pf_eliminate(size, entries, Fraction) ** 2 if size % 2 == 0 else Fraction(0)
         else:
-            exact = _bareiss_det(_completed_rows(size, mode, entries))
+            exact = _sym_det(size, entries)
         if domain is not float:
             return exact
         try:

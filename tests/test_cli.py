@@ -528,3 +528,50 @@ def test_float_determinant_overflow_is_one_error_line(tmp_path, capsys, obj, mag
         f"error: the determinant overflows a float (|det| is about {magnitude}); "
         "exact entries give its exact value\n"
     )
+
+
+BIG_SKEW = {
+    "two_n": 4,
+    "mode": "skew",
+    "entries": {p: 2e200 if p == "1,2" else 1e200 for p in ("1,2", "1,3", "1,4", "2,3", "2,4", "3,4")},
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv, what",
+    [((), "pfaffian"), (("--hook", "1"), "hook expansion")],
+    ids=["eval", "eval --hook 1"],
+)
+def test_float_pfaffian_overflow_is_one_error_line(tmp_path, capsys, argv, what, fmt):
+    # the pfaffian was inf and the hook sum nan, printed as Infinity and NaN with exit 0
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BIG_SKEW))
+    assert run(["eval", str(path), *argv, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the {what} overflows a float; exact entries give its exact value\n"
+
+
+@pytest.mark.parametrize("argv", [(), ("--hook", "1"), ("--hook", "4")], ids=["eval", "hook 1", "hook 4"])
+def test_float_pfaffian_near_the_limit_is_printed(tmp_path, capsys, argv):
+    # 2e300 - 1e300 + 1e300 stays finite, so the float is printed as before
+    obj = {**BIG_SKEW, "entries": {k: v * 1e-50 for k, v in BIG_SKEW["entries"].items()}}
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(obj))
+    assert run(["eval", str(path), *argv, "--format", "json"]) == 0
+    value = json.loads(capsys.readouterr().out)["pfaffian"]
+    assert value == pytest.approx(2e300, rel=1e-12)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["eval", "det"])
+def test_non_finite_float_entry_is_refused(tmp_path, capsys, token, command):
+    # Python's json reads these tokens as floats; det of Infinity was an OverflowError traceback
+    path = tmp_path / "nonfinite.json"
+    path.write_text('{"two_n": 2, "mode": "symmetric", "entries": {"1,2": %s}}' % token)
+    assert run([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    shown = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}[token]
+    assert captured.err == f"error: entry '1,2': bad scalar {shown}\n"

@@ -4,8 +4,10 @@ The exact route must equal the matching sum `pfaffian_sum` bit for bit,
 the float route must agree with the matching-sum double kernel, and both
 must satisfy the pfaffian's identities at sizes past the enumeration cap.
 Poly arrays take the memoized row expansion instead, which must equal the
-matching sum too.  Every pfaffian and determinant route returns its result
-in the scalar domain of the entries, and refuses a boolean entry.
+matching sum too.  Symmetric determinants come from `_sym_det`, which must
+equal the cofactor expansion where it is affordable and Bareiss elimination
+past it.  Every pfaffian and determinant route returns its result in the
+scalar domain of the entries, and refuses a boolean entry.
 """
 import math
 from fractions import Fraction
@@ -13,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_fraction
-from pf_oracles import hook_sum, pfaffian_sum
+from pf_oracles import cofactor_det, completed_rows, hook_sum, pfaffian_sum
 from pfsym import backend
 from pfsym import matchings
 from pfsym import pfaffian
@@ -271,3 +273,72 @@ def test_poly_route_enumerates_no_matchings(monkeypatch):
     for two_n, values in want.items():
         assert [pfaffian_direct(arr) for arr in _poly_cases(two_n, SKEW)] == values
         assert generic_pfaffian(two_n) == values[0]  # the pfaffian of the array a(i,j)
+
+
+def _big_fraction(rng):
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(10**5, 10**6))
+
+
+def sym_det_cases(rng, size, scalar=random_fraction):
+    """Symmetric upper entries of `size` that drive `_sym_det` down each pivot path.
+
+    After a 2x2 pivot on indices 1, 2 the trailing diagonal entry of index i
+    is -2 a(1,i) a(2,i) / a(1,2), so zeros in rows 1 and 2 place it.
+    """
+    pairs = list(upper_pairs(size))
+
+    def fill(value):
+        return {(i, j): value(i, j) for i, j in pairs}
+
+    full = fill(lambda i, j: scalar(rng))
+    cases = [
+        full,
+        # small ints, mostly zero: swaps and both pivot sizes at later steps
+        fill(lambda i, j: rng.choice((0, 0, 0, 1, -2))),
+        # a zero first row under the zero diagonal: the determinant is 0
+        fill(lambda i, j: 0 if i == 1 else scalar(rng)),
+        # a(1,2) = 0: the 2x2 pivot needs a swap into position 2
+        full | {(1, 2): 0},
+        # a(2,3) = 0: the 2x2 step leaves index 3 a zero diagonal, so the
+        # 1x1 step that follows swaps index 4 to the front
+        full | {(2, 3): 0},
+        # rows 1 and 2 with disjoint supports: the 2x2 step leaves a second
+        # all-zero diagonal, and another 2x2 step follows
+        fill(lambda i, j: 0 if i in (1, 2) and j > 2 and (i + j) % 2 else scalar(rng)),
+    ]
+    # squared differences at integer points: rank <= 3, so det = 0 at size >= 4
+    xs = rng.sample(range(-30, 30), size)
+    cases.append(fill(lambda i, j: (xs[i - 1] - xs[j - 1]) ** 2))
+    # below size 3 the pinned zeros name pairs that do not exist
+    return [{p: v for p, v in case.items() if p in full} for case in cases]
+
+
+def sym_det_mismatches(rng, sizes, oracle, scalar=random_fraction):
+    """The (size, case number) of each case where `_sym_det` differs from `oracle(rows)`."""
+    bad = []
+    for size in sizes:
+        for k, entries in enumerate(sym_det_cases(rng, size, scalar)):
+            got = pfaffian._sym_det(size, entries)
+            assert type(got) is Fraction
+            if got != oracle(completed_rows(size, SYMMETRIC, {p: Fraction(v) for p, v in entries.items()})):
+                bad.append((size, k))
+    return bad
+
+
+@pytest.mark.parametrize("scalar", [random_fraction, _big_fraction], ids=["den<=9", "den 6 digits"])
+def test_sym_det_matches_the_cofactor_oracle(rng, scalar):
+    assert sym_det_mismatches(rng, range(1, 8), cofactor_det, scalar) == []
+
+
+def test_sym_det_matches_bareiss_past_the_cofactor_oracle(rng):
+    # Bareiss costs about 3x the kernel: these sizes keep the test near 1 s
+    assert sym_det_mismatches(rng, (8, 9, 12, 17, 23, 30), pfaffian._bareiss_det) == []
+    assert sym_det_mismatches(rng, (8, 11, 14), pfaffian._bareiss_det, _big_fraction) == []
+
+
+def test_squared_difference_determinants_vanish_from_size_four():
+    for size in range(1, 41):
+        entries = {(i, j): (i - j) ** 2 for i, j in upper_pairs(size)}
+        want = cofactor_det(completed_rows(size, SYMMETRIC, entries)) if size <= 7 else 0
+        assert completed_determinant(size, SYMMETRIC, entries) == want, size
+        assert (want == 0) == (size == 1 or size >= 4), size

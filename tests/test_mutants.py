@@ -1,14 +1,18 @@
-"""Committed mutants: a verify check must FAIL when the kernel it guards is broken.
+"""Committed mutants: a check must FAIL when the kernel it guards is broken.
 
 A check that compares a route with itself passes whatever the route
 computes.  Each test here breaks one kernel, runs the check at a small n
-and requires a FAIL line for every n, after a clean run that passes.
+and requires a FAIL line for every n, after a clean run that passes; the
+`_sym_det` mutants must make its oracle comparison find a mismatch.
 """
 import inspect
+import random
 
 import pytest
 
+from pf_oracles import cofactor_det
 from pfsym import cli, pfaffian, symmetry
+from test_elimination import sym_det_mismatches
 
 
 def _verify(capsys, check: str, n: str):
@@ -107,3 +111,19 @@ def test_check_fails_on_its_kernel_mutant(monkeypatch, capsys, check, n, module,
     assert lines == [
         line for head, lhs, rhs in verdicts for line in (f"FAIL {head}", f"  lhs: {lhs}", f"  rhs: {rhs}")
     ]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # the 2x2 pivot [[0, b], [b, 0]] with det +b^2
+        ("            result *= -p * p\n", "            result *= p * p\n"),
+        # the swap of the 1x1 pivot moves rows only, not the columns with them
+        ("                    r[0], r[k] = r[k], r[0]\n", "                    pass\n"),
+    ],
+    ids=["2x2 pivot +b^2", "1x1 swap of rows only"],
+)
+def test_sym_det_oracle_fails_on_its_mutant(monkeypatch, old, new):
+    assert sym_det_mismatches(random.Random(1), range(1, 7), cofactor_det) == []
+    monkeypatch.setattr(pfaffian, "_sym_det", _rewritten(pfaffian, pfaffian._sym_det, old, new))
+    assert sym_det_mismatches(random.Random(1), range(1, 7), cofactor_det) != []
