@@ -16,19 +16,24 @@ a skew matrix (0 at odd size), and come from symmetric elimination with
 1x1 and 2x2 pivots (`_sym_det`) for a symmetric one, both in Fractions.
 A float pfaffian, hook expansion or determinant that overflows is a
 ValueError naming the overflow, never +-inf or nan, which JSON cannot
-hold.  Bareiss elimination (`_bareiss_det`) is kept as the independent
-route of `verify skew-det`.  Every other route is one call of `_expand`,
-the memoized first-row expansion `_subset_pf` on Poly entries packed once
-per call: Poly and other-ring pfaffians up to 2n = EXPAND_CAP
+hold, and a float entry that is +-inf or nan is a ValueError naming the
+entry.  Bareiss elimination (`_bareiss_det`) is kept as the independent
+route of `verify skew-det`.  Every other route runs the memoized
+first-row expansion `_subset_pf`, through `_expand` on Poly entries
+packed once per call: Poly and other-ring pfaffians up to 2n = EXPAND_CAP
 (`generic_pfaffian` among them), their determinants by the skew embedding
 [[0, M], [-M^T, 0]] at any size, and both hook expansions in every domain,
-under the same cap for Poly and other-ring arrays.  No route enumerates matchings; the
-definitional oracles live with the tests (`tests/pf_oracles.py`).
+under the same cap for Poly and other-ring arrays.  A Fraction hook
+expansion runs on integers: with D = diag(d_i), d_i the lcm of the
+denominators of row i, pf(DAD) = det D pf A, so it expands the int array
+DAD and divides once.  No route enumerates matchings; the definitional
+oracles live with the tests (`tests/pf_oracles.py`).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping, NamedTuple
 
 from .polyring import Poly, _exact, _packing, gen
@@ -214,18 +219,23 @@ def _into(domain, value):
     return domain(value)
 
 
-def _expand(domain, entries: Mapping[tuple[int, int], object], live: tuple[int, ...], factors: int):
+def _expand(domain, entries: Mapping[tuple[int, int], object], live: tuple[int, ...], factors: int, negated=()):
     """`_subset_pf(entries, live)` in `domain`, a sum of products of at most
-    `factors` entries.  Poly entries are packed (`polyring._packing`), so a
-    product of monomials is one integer addition, and the sum is unpacked
-    into a Poly even when it is an int; any other sum goes through `_into`."""
+    `factors` entries, where the positions in `negated` hold the negation of
+    their value.  Poly entries are packed (`polyring._packing`), so a product
+    of monomials is one integer addition, and the sum is unpacked into a Poly
+    even when it is an int; any other sum goes through `_into`."""
     if domain is Poly:
         # a value placed at several positions is one object, scanned and packed once
         distinct = {id(v): v for v in entries.values()}
         pack, unpack = _packing(distinct.values(), factors)
         packed = {k: pack(v) for k, v in distinct.items()}
-        return unpack(_subset_pf({p: packed[id(v)] for p, v in entries.items()}, live, {}))
-    return _into(domain, _subset_pf(entries, live, {}))
+        entries = {p: packed[id(v)] for p, v in entries.items()}
+    else:
+        unpack = partial(_into, domain)
+    if negated:
+        entries = entries | {p: -entries[p] for p in negated}
+    return unpack(_subset_pf(entries, live, {}))
 
 
 def _finite(value, what: str):
@@ -234,6 +244,14 @@ def _finite(value, what: str):
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"the {what} overflows a float; exact entries give its exact value")
     return value
+
+
+def _refuse_non_finite(entries: Mapping[tuple[int, int], object]) -> None:
+    """A ValueError naming the first float entry that is +-inf or nan, in the
+    wording of the array file parser; nothing if there is none."""
+    for (i, j), v in sorted(entries.items()):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"entry '{i},{j}': bad scalar {v!r}")
 
 
 # Largest 2n that a Poly or other-ring pfaffian or hook expansion takes;
@@ -262,13 +280,20 @@ def pfaffian_direct(arr: TriangularArray):
     memoized expansion along row 1 (`_expand`) for 2n up to EXPAND_CAP, Poly
     entries on packed monomials.  A boolean entry, or a float beside a
     Poly, is a ValueError, and so is a float result that overflowed to
-    +-inf or nan; every finite float result is returned as computed.
+    +-inf or nan; every finite float result is returned as computed.  The
+    entries are scanned for a float +-inf or nan, which the error names,
+    only when the float result is not finite or is zero: elimination that
+    meets such an entry ends in one of those.
     """
     domain = _domain(arr.entries)
     if arr.two_n == 0:
         return 1
     if domain is float:
-        return _finite(_into(float, _pf_eliminate(arr.two_n, arr.entries, float)), "pfaffian")
+        value = _into(float, _pf_eliminate(arr.two_n, arr.entries, float))
+        if not (value and math.isfinite(value)):
+            # an inf or nan entry ends the elimination in +-inf, nan or a zero pivot
+            _refuse_non_finite(arr.entries)
+        return _finite(value, "pfaffian")
     if domain in (int, Fraction):
         return _into(domain, _pf_eliminate(arr.two_n, arr.entries, Fraction))
     _check_expand_cap(arr.two_n)
@@ -441,8 +466,13 @@ def _hook_expand(arr: TriangularArray, s: int, mode: str):
     the expansion along live = (s, 1..s-1, s+1..2n) with row s holding
     a(s,j) for j > s and -a(j,s) for j < s, all times (-1)^(s-1): partner
     j sits at position t = j - [j > s], which `_subset_pf` signs (-1)^(t-1).
-    A float row goes in as `_FloatHookEntry`s, so that a float result, a
-    zero included, is the float of the rule's own sum; a float sum that
+    A Fraction array runs on ints: entry (i, j) becomes d_i d_j a(i,j), with
+    d_i the lcm of the denominators of row i's upper entries, and the sum is
+    divided by the product of the d_i.  Every matching uses each index once,
+    so every term gains that one factor: pf(DAD) = det D pf A.  A float row
+    goes in as `_FloatHookEntry`s, so that a float result, a zero included,
+    is the float of the rule's own sum; a float entry that is +-inf or nan,
+    which the expansion may skip, is refused first, and a float sum that
     overflowed is a ValueError, as in `pfaffian_direct`.  Poly and other-ring
     arrays above 2n = EXPAND_CAP are refused before any expansion, as there.
     """
@@ -450,13 +480,23 @@ def _hook_expand(arr: TriangularArray, s: int, mode: str):
         raise ValueError(f"{mode} hook expansion needs a {mode} array, got mode {arr.mode!r}")
     if not 1 <= s <= arr.two_n:
         raise IndexError(f"hook {s} outside 1..{arr.two_n}")
-    live = (s, *range(1, s), *range(s + 1, arr.two_n + 1))
-    domain = _domain(arr.entries)
-    if domain not in (int, Fraction, float):
-        _check_expand_cap(arr.two_n)
-    entries = dict(arr.entries)
+    two_n = arr.two_n
+    live = (s, *range(1, s), *range(s + 1, two_n + 1))
+    upper = arr.entries
+    domain = _domain(upper)
+    if domain is float:
+        _refuse_non_finite(upper)
+    elif domain is Fraction:
+        # pf(DAD) = det D pf A, D = diag(d_i) with d_i the lcm of the denominators of row i
+        d = [1] * (two_n + 1)
+        for (i, _), v in upper.items():
+            d[i] = math.lcm(d[i], v.denominator)
+        upper = {(i, j): v.numerator * (d[i] * d[j] // v.denominator) for (i, j), v in upper.items()}
+    elif domain is not int:
+        _check_expand_cap(two_n)
+    entries = dict(upper)
     for k in live[1:]:
-        v = arr.entries[(k, s) if k < s else (s, k)]
+        v = upper[(k, s) if k < s else (s, k)]
         flip = (k < s) == (s % 2 == 1)
         if domain is float:
             # the skew rule reads -a(k,s) for k < s, and -0 of an exact zero is no -0.0
@@ -464,7 +504,9 @@ def _hook_expand(arr: TriangularArray, s: int, mode: str):
             entries[(s, k)] = _FloatHookEntry(-v if low else v, flip != low)
         else:
             entries[(s, k)] = -v if flip else v
-    return _finite(_expand(domain, entries, live, arr.two_n // 2), "hook expansion")
+    if domain is Fraction:
+        return Fraction(_subset_pf(entries, live, {}), math.prod(d))
+    return _finite(_expand(domain, entries, live, two_n // 2), "hook expansion")
 
 
 class _FloatHookEntry(NamedTuple):
@@ -501,16 +543,18 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     Fraction, and floats the float of that exact value: a skew matrix has
     det = pf^2 at even size (by `_pf_eliminate` in Fractions) and 0 at odd
     size, and a symmetric one goes through `_sym_det`, symmetric
-    elimination in Fractions with 1x1 and 2x2 pivots.  A value that does
-    not fit a float is a ValueError naming the overflow, never +-inf, which
+    elimination in Fractions with 1x1 and 2x2 pivots.  A float entry that
+    is +-inf or nan is a ValueError naming it, and a value that does not
+    fit a float is a ValueError naming the overflow, never +-inf, which
     JSON cannot hold.  Poly entries give a Poly, and any other scalar its
     own ring:
     det M = (-1)^(m(m-1)/2) pf [[0, M], [-M^T, 0]] for M of size m, and
     `_expand` expands that pfaffian along its rows, on packed monomials
-    for Poly entries; a symmetric entry sits in both halves as one object,
-    which is packed once.  It skips the zero blocks, so its memo holds only the
-    m 2^m column-subset minors of M, and it takes no size cap.  A boolean
-    entry, or a float beside a Poly, is a ValueError.
+    for Poly entries; an entry v sits in both halves as one object, which
+    is packed once, and `_expand` negates it below in the skew mode.  It
+    skips the zero blocks, so its memo holds only the m 2^m column-subset
+    minors of M, and it takes no size cap.  A boolean entry, or a float
+    beside a Poly, is a ValueError.
     """
     if mode not in (SYMMETRIC, SKEW):
         raise ValueError(f"mode must be symmetric or skew, got {mode!r}")
@@ -519,6 +563,8 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     _check_keys(size, entries)
     domain = _domain(entries)
     if domain in (int, Fraction, float):
+        if domain is float:
+            _refuse_non_finite(entries)
         if mode == SKEW:
             # a skew matrix of odd size is singular, and of even size has det = pf^2
             exact = _pf_eliminate(size, entries, Fraction) ** 2 if size % 2 == 0 else Fraction(0)
@@ -535,8 +581,10 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
             ) from None
     embedded = dict.fromkeys(upper_pairs(2 * size), 0)
     for (i, j), v in entries.items():
-        embedded[(i, size + j)], embedded[(j, size + i)] = v, -v if mode == SKEW else v
-    value = _expand(domain, embedded, tuple(range(1, 2 * size + 1)), size)
+        embedded[(i, size + j)] = embedded[(j, size + i)] = v
+    # a skew entry sits below as -v, which `_expand` negates after packing v once
+    negated = [(j, size + i) for i, j in entries] if mode == SKEW else ()
+    value = _expand(domain, embedded, tuple(range(1, 2 * size + 1)), size, negated)
     return -value if size * (size - 1) // 2 % 2 else value
 
 

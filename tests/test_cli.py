@@ -200,7 +200,7 @@ def test_verify_unknown_check_and_bad_range():
 def test_verify_named_check_without_runnable_n_is_an_error():
     for check, n, span in (
         ("matchings", "6", "1..5"),
-        ("hook-oracle", "5", "2..4"),
+        ("hook-oracle", "7", "2..6"),
         ("skew-det", "4", "1..3"),
         ("theorem2", "1", "2..4"),
     ):

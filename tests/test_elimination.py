@@ -7,9 +7,11 @@ Poly arrays take the memoized row expansion instead, which must equal the
 matching sum too.  Symmetric determinants come from `_sym_det`, which must
 equal the cofactor expansion where it is affordable and Bareiss elimination
 past it.  Every pfaffian and determinant route returns its result in the
-scalar domain of the entries, and refuses a boolean entry.
+scalar domain of the entries, and refuses a boolean entry and a float
+entry that is +-inf or nan.
 """
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -220,6 +222,31 @@ def test_boolean_entry_is_refused(route):
         entries = {p: fill(*p) for p in upper_pairs(4)} | {(2, 4): False, (1, 3): True}
         with pytest.raises(ValueError, match=r"^entry '1,3': bad scalar True$"):
             evaluate(entries)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_float_entry_is_refused(route, bad):
+    evaluate = ROUTES[route]
+    message = rf"^entry '2,4': bad scalar {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        evaluate({(i, j): i / j for i, j in upper_pairs(4)} | {(2, 4): bad, (3, 4): bad})
+    # pf = a12 a34 - a13 a24 + a14 a23 with a12 = 0: hook 1 never reads a34,
+    # and elimination that starts on a zero row returns 0 before it reads one
+    hidden = {(1, 2): 0.0, (1, 3): 1.0, (1, 4): 0.0, (2, 3): 0.0, (2, 4): bad, (3, 4): bad}
+    with pytest.raises(ValueError, match=message):
+        evaluate(hidden)
+    with pytest.raises(ValueError, match=message):
+        evaluate(hidden | {(1, 3): 0.0})
+
+
+def test_finite_float_pfaffians_scan_no_entry(monkeypatch, rng):
+    def refuse(entries):
+        raise AssertionError("entries scanned")
+
+    monkeypatch.setattr(pfaffian, "_refuse_non_finite", refuse)
+    for two_n in (2, 8, 14):
+        assert math.isfinite(pfaffian_direct(_array(two_n, SKEW, lambda i, j: rng.uniform(-1, 1))))
 
 
 def _refuse_matchings(*args, **kwargs):

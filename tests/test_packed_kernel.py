@@ -6,7 +6,8 @@ width comes from a degree bound.  Each route must equal the matching sum
 or the cofactor expansion on arrays that mix position and generator
 variables, Fraction coefficients, int entries and zero Polys, including
 arrays whose result reaches the bound exactly at a power of two and one
-below it, and no route may multiply Poly monomials.
+below it, and no route may multiply Poly monomials.  A determinant packs
+each entry once, in the skew mode too.
 """
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from pf_oracles import cofactor_det, completed_rows, pfaffian_sum
-from pfsym import polyring
+from pfsym import pfaffian, polyring
 from pfsym.pfaffian import (
     SKEW,
     SYMMETRIC,
@@ -138,3 +139,22 @@ def test_poly_routes_multiply_no_poly_monomials(monkeypatch):
         assert pfaffian_direct(arr) == want_pf
         assert all(hook(arr, s) == want_pf for s in range(1, 7))
         assert completed_determinant(5, mode, small) == want_det[mode]
+
+
+@pytest.mark.parametrize("mode", [SYMMETRIC, SKEW])
+def test_determinants_pack_each_entry_once(monkeypatch, mode):
+    # the skew embedding holds v above and -v below; only v is handed to `_packing`
+    handed, packing = [], pfaffian._packing
+
+    def counting(values, factors):
+        values = list(values)
+        handed.append(values)
+        return packing(values, factors)
+
+    monkeypatch.setattr(pfaffian, "_packing", counting)
+    entries = {(i, j): a(i, j) for i, j in upper_pairs(5)}
+    got = completed_determinant(5, mode, entries)
+    assert got == cofactor_det(completed_rows(5, mode, entries))
+    [values] = handed
+    # the ten generators, and the zero of the embedding's zero blocks
+    assert sum(isinstance(v, Poly) for v in values) == 10 and len(values) == 11
