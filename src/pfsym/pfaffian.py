@@ -10,31 +10,29 @@ completion.  The hook expansions and the determinant do use the mode.
 Scalars are pluggable: ints, Fractions, floats, Poly or any other ring.
 Each route reads the scalar domain once (`_domain`) and returns its
 result in it; a determinant of ints is a Fraction.  Float and rational
-arrays are evaluated by pivoted skew elimination in O(n^3) operations
-(`_pf_eliminate`); their determinants are the square of that pfaffian for
-a skew matrix (0 at odd size), and come from symmetric elimination with
-1x1 and 2x2 pivots (`_sym_det`) for a symmetric one, both in Fractions.
-A float pfaffian, hook expansion or determinant that overflows is a
-ValueError naming the overflow, never +-inf or nan, which JSON cannot
-hold, and a float entry that is +-inf or nan is a ValueError naming the
-entry.  Bareiss elimination (`_bareiss_det`) is kept as the independent
-route of `verify skew-det`.  Every other route runs the memoized
-first-row expansion `_subset_pf`, through `_expand` on Poly entries
-packed once per call: Poly and other-ring pfaffians up to 2n = EXPAND_CAP
-(`generic_pfaffian` among them), their determinants by the skew embedding
-[[0, M], [-M^T, 0]] at any size, and both hook expansions in every domain,
-under the same cap for Poly and other-ring arrays.  A Fraction hook
-expansion runs on integers: with D = diag(d_i), d_i the lcm of the
-denominators of row i, pf(DAD) = det D pf A, so it expands the int array
-DAD and divides once.  No route enumerates matchings; the definitional
-oracles live with the tests (`tests/pf_oracles.py`).
+pfaffians come from pivoted skew elimination in O(n^3) operations
+(`_pf_eliminate`), their determinants from its square for a skew matrix
+(0 at odd size) and from symmetric elimination with 1x1 and 2x2 pivots
+(`_sym_det`) for a symmetric one, both in Fractions; Bareiss elimination
+(`_bareiss_det`) stays as the independent route of `verify skew-det`.  A
+float result that overflows, or a float entry that is +-inf or nan, is a
+ValueError that names it, never +-inf or nan, which JSON cannot hold.
+Every other route runs the memoized first-row expansion `_subset_pf`
+through `_expand`, which packs Poly entries once per call: `_hook_expand`
+gives both hook expansions in every domain and the Poly and other-ring
+pfaffian as the hook along 1 (`generic_pfaffian` among them), up to
+2n = EXPAND_CAP for those rings, and an int or Fraction hook runs on
+integers, by pf(DAD) = det D pf A; Poly and other-ring determinants
+expand the skew embedding [[0, M], [-M^T, 0]] at any size.  No route
+enumerates matchings; the definitional oracles live with the tests
+(`tests/pf_oracles.py`).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from .polyring import Poly, _exact, _packing, gen
 
@@ -212,8 +210,7 @@ def _domain(entries: Mapping[tuple[int, int], object]):
 
 
 def _into(domain, value):
-    """`value` in `domain`: elimination of ints works in Fractions, and
-    `_subset_pf` can give an int when every Fraction entry on its way is zero."""
+    """`value` in `domain`: elimination of ints works in Fractions."""
     if isinstance(value, domain):
         return value
     return domain(value)
@@ -261,29 +258,22 @@ def _refuse_non_finite(entries: Mapping[tuple[int, int], object]) -> None:
 EXPAND_CAP = 16
 
 
-def _check_expand_cap(two_n: int) -> None:
-    if two_n > EXPAND_CAP:
-        raise ValueError(f"two_n={two_n} exceeds the memoized-expansion cap {EXPAND_CAP}")
-
-
 # -- pfaffians ---------------------------------------------------------------
 
 
 def pfaffian_direct(arr: TriangularArray):
     """Pfaffian of the array, by the fastest route its scalar domain allows.
 
-    Only upper entries appear, so every mode gives the pfaffian of the
-    skew completion.  `_domain` picks the route and the result type from
-    the entries: ints give an int, Fractions (ints among them) a Fraction
-    and floats a float, all by pivoted skew elimination (`_pf_eliminate`);
-    Poly entries give a Poly, and any other scalar its own ring, by the
-    memoized expansion along row 1 (`_expand`) for 2n up to EXPAND_CAP, Poly
-    entries on packed monomials.  A boolean entry, or a float beside a
-    Poly, is a ValueError, and so is a float result that overflowed to
-    +-inf or nan; every finite float result is returned as computed.  The
-    entries are scanned for a float +-inf or nan, which the error names,
-    only when the float result is not finite or is zero: elimination that
-    meets such an entry ends in one of those.
+    Only upper entries appear, so every mode gives the pfaffian of the skew
+    completion.  `_domain` picks the route and the result type from the
+    entries: ints give an int, Fractions (ints among them) a Fraction and
+    floats a float, all by pivoted skew elimination (`_pf_eliminate`).  Poly
+    entries give a Poly, and any other scalar its own ring, as the hook
+    along 1 (`_hook_expand`), for 2n up to EXPAND_CAP.  A boolean entry, or
+    a float beside a Poly, is a ValueError, and so is a float result that
+    overflowed to +-inf or nan.  The entries are scanned for a float +-inf
+    or nan, which the error names, only when the float result is not finite
+    or is zero: elimination that meets such an entry ends in one of those.
     """
     domain = _domain(arr.entries)
     if arr.two_n == 0:
@@ -296,8 +286,8 @@ def pfaffian_direct(arr: TriangularArray):
         return _finite(value, "pfaffian")
     if domain in (int, Fraction):
         return _into(domain, _pf_eliminate(arr.two_n, arr.entries, Fraction))
-    _check_expand_cap(arr.two_n)
-    return _expand(domain, arr.entries, tuple(range(1, arr.two_n + 1)), arr.two_n // 2)
+    # the expansion along (1..2n): hook 1, whose row takes no sign in either rule
+    return _hook_expand(arr, 1, domain)
 
 
 def _pf_eliminate(size: int, entries: Mapping[tuple[int, int], object], cast):
@@ -448,78 +438,90 @@ def _subset_pf(entries: Mapping[tuple[int, int], object], live: tuple[int, ...],
 
 def hook_expand_symmetric(arr: TriangularArray, s: int):
     """Expansion along hook s for symmetric completion: no Heaviside sign."""
-    return _hook_expand(arr, s, SYMMETRIC)
+    return _hook_rule(arr, s, SYMMETRIC)
 
 
 def hook_expand_skew(arr: TriangularArray, s: int):
     """Expansion along hook s for skew completion, with the Heaviside sign."""
-    return _hook_expand(arr, s, SKEW)
+    return _hook_rule(arr, s, SKEW)
 
 
-def _hook_expand(arr: TriangularArray, s: int, mode: str):
-    """Both hook rules as one memoized expansion (`_expand`).
-
-    The rule for s is the sum over j != s of (-1)^(s+j+1+h) a(s,j)
-    pf(A without s, j): h = 0 and a(s,j) = a(j,s) for j < s in a symmetric
-    array, h = H(s-j) and a(s,j) = -a(j,s) in a skew one.  For j < s both
-    give the term (-1)^(s+j+1) a(j,s) pf, so the rules are one sum.  It is
-    the expansion along live = (s, 1..s-1, s+1..2n) with row s holding
-    a(s,j) for j > s and -a(j,s) for j < s, all times (-1)^(s-1): partner
-    j sits at position t = j - [j > s], which `_subset_pf` signs (-1)^(t-1).
-    A Fraction array runs on ints: entry (i, j) becomes d_i d_j a(i,j), with
-    d_i the lcm of the denominators of row i's upper entries, and the sum is
-    divided by the product of the d_i.  Every matching uses each index once,
-    so every term gains that one factor: pf(DAD) = det D pf A.  A float row
-    goes in as `_FloatHookEntry`s, so that a float result, a zero included,
-    is the float of the rule's own sum; a float entry that is +-inf or nan,
-    which the expansion may skip, is refused first, and a float sum that
-    overflowed is a ValueError, as in `pfaffian_direct`.  Poly and other-ring
-    arrays above 2n = EXPAND_CAP are refused before any expansion, as there.
-    """
+def _hook_rule(arr: TriangularArray, s: int, mode: str):
+    """The hook rule of `mode` along s, by `_hook_expand`, once the array's mode and s are checked."""
     if arr.mode != mode:
         raise ValueError(f"{mode} hook expansion needs a {mode} array, got mode {arr.mode!r}")
     if not 1 <= s <= arr.two_n:
         raise IndexError(f"hook {s} outside 1..{arr.two_n}")
+    return _hook_expand(arr, s, _domain(arr.entries))
+
+
+def _hook_expand(arr: TriangularArray, s: int, domain):
+    """Both hook rules, and the pfaffian as the hook along 1, by one
+    memoized expansion (`_expand`) in the scalar domain `domain`.
+
+    The rule for s is the sum over j != s of (-1)^(s+j+1+h) a(s,j)
+    pf(A without s, j): h = 0 and a(s,j) = a(j,s) for j < s in a symmetric
+    array, h = H(s-j) and a(s,j) = -a(j,s) in a skew one.  For j < s both
+    give the term (-1)^(s+j+1) a(j,s) pf, so the rules are one sum: the
+    expansion along live = (s, 1..s-1, s+1..2n), whose row s holds a(s,j)
+    for j > s and -a(j,s) for j < s, times (-1)^(s-1), as `_subset_pf`
+    signs partner j by its position t = j - [j > s].  Row s holds the entry
+    objects, and its signs go to `_expand` as `negated` positions; at s = 1
+    none flips.  An int or Fraction hook runs on integers, by
+    pf(DAD) = det D pf A with d_i the lcm of the denominators of row i.  A
+    float array's row s holds `_FloatHookEntry`s, which put the sign on the
+    product, so the result is the float of the rule's own sum, the sign of
+    zero included.  A float entry +-inf or nan, and a Poly or other-ring
+    array above 2n = EXPAND_CAP, are refused before any expansion, and a
+    float sum that overflowed is a ValueError.
+    """
     two_n = arr.two_n
     live = (s, *range(1, s), *range(s + 1, two_n + 1))
     upper = arr.entries
-    domain = _domain(upper)
-    if domain is float:
-        _refuse_non_finite(upper)
-    elif domain is Fraction:
+    if domain in (int, Fraction):
         # pf(DAD) = det D pf A, D = diag(d_i) with d_i the lcm of the denominators of row i
         d = [1] * (two_n + 1)
         for (i, _), v in upper.items():
             d[i] = math.lcm(d[i], v.denominator)
         upper = {(i, j): v.numerator * (d[i] * d[j] // v.denominator) for (i, j), v in upper.items()}
-    elif domain is not int:
-        _check_expand_cap(two_n)
+    elif domain is float:
+        _refuse_non_finite(upper)
+    elif two_n > EXPAND_CAP:
+        raise ValueError(f"two_n={two_n} exceeds the memoized-expansion cap {EXPAND_CAP}")
     entries = dict(upper)
+    negated = []
     for k in live[1:]:
         v = upper[(k, s) if k < s else (s, k)]
         flip = (k < s) == (s % 2 == 1)
         if domain is float:
-            # the skew rule reads -a(k,s) for k < s, and -0 of an exact zero is no -0.0
-            low = mode == SKEW and k < s
-            entries[(s, k)] = _FloatHookEntry(-v if low else v, flip != low)
-        else:
-            entries[(s, k)] = -v if flip else v
-    if domain is Fraction:
-        return Fraction(_subset_pf(entries, live, {}), math.prod(d))
-    return _finite(_expand(domain, entries, live, two_n // 2), "hook expansion")
+            # the skew rule reads -a(k,s) for k < s: for an exact zero that is 0 itself, so its term takes no sign
+            flip ^= arr.mode == SKEW and k < s and v == 0 and not isinstance(v, float)
+            v = _FloatHookEntry(v)
+        entries[(s, k)] = v
+        if flip:
+            negated.append((s, k))
+    total = _expand(int if domain is Fraction else domain, entries, live, two_n // 2, negated)
+    return Fraction(total, math.prod(d)) if domain is Fraction else _finite(total, "hook expansion")
 
 
-class _FloatHookEntry(NamedTuple):
-    """Entry `value` of a float hook row, times -1 if `flip`: `_subset_pf` skips
-    none (a nonempty tuple is true), and the sign falls on the product, as in
-    the hook rule, so a zero sum is -0.0 only when every term of the rule is."""
+class _FloatHookEntry:
+    """Entry `value` of a float hook row, times -1 if `negated`: always true,
+    so `_subset_pf` skips no term, and `-` flips the sign, which falls on the
+    product, as in the hook rule, so that a zero sum is -0.0 only when the
+    rule's is and an exact entry times an exact minor stays exact."""
 
-    value: object
-    flip: bool
+    def __init__(self, value, negated: bool = False):
+        self.value, self.negated = value, negated
+
+    def __bool__(self) -> bool:
+        return True
+
+    def __neg__(self) -> _FloatHookEntry:
+        return _FloatHookEntry(self.value, not self.negated)
 
     def __mul__(self, other):
         product = self.value * other
-        return -product if self.flip else product
+        return -product if self.negated else product
 
 
 # -- determinants -------------------------------------------------------------

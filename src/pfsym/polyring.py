@@ -2,8 +2,10 @@
 
 Two variable families: generators a(i,j) with i < j, and positions x(i).
 A variable is a plain tuple, ("a", i, j) or ("x", i); a monomial is a
-tuple of (variable, exponent) pairs sorted in the canonical variable
-order (positions before generators, then by index); a polynomial maps
+tuple of (variable, exponent) pairs, each variable once, sorted in the
+canonical variable order (positions before generators, then by index);
+the `Poly` constructor is the one place that makes a monomial canonical,
+adding the exponents of a variable listed twice.  A polynomial maps
 monomials to nonzero rational coefficients.  A coefficient is stored as
 a Python int when it is integral and as a Fraction only when it is not,
 so the arithmetic on integer polynomials never builds a Fraction; the
@@ -103,6 +105,11 @@ class Poly:
                 mono = tuple(sorted(((_check_var(v), e) for v, e in mono), key=lambda p: _var_key(p[0])))
                 if any(e < 1 for _, e in mono):
                     raise ValueError(f"exponents must be positive: {mono!r}")
+                # a variable listed twice is one factor: its exponents add
+                merged: dict[Var, int] = {}
+                for v, e in mono:
+                    merged[v] = merged.get(v, 0) + e
+                mono = tuple(merged.items())
                 clean[mono] = clean.get(mono, 0) + coeff
                 if clean[mono] == 0:
                     del clean[mono]
@@ -304,7 +311,7 @@ class Poly:
                     mono.append((gen(rest[0], rest[1]), rest[2]))
                 else:
                     raise ValueError(f"bad variable record: {entry!r}")
-            mono = tuple(sorted(mono, key=lambda p: _var_key(p[0])))
+            mono = tuple(mono)
             terms[mono] = terms.get(mono, 0) + coeff
         return cls(terms)
 

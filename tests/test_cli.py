@@ -147,6 +147,17 @@ def test_sym_poly_file(tmp_path, capsys):
     assert code == 2 and "--m" in err
 
 
+def test_sym_of_a_file_that_lists_a_variable_twice(tmp_path, capsys):
+    # x1*x1^2 + x2^3 is x1^3 + x2^3, which the transposition (1 2) fixes
+    outputs = []
+    for first in ([["x", 1, 1], ["x", 1, 2]], [["x", 1, 3]]):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps([{"coeff": "1", "vars": first}, {"coeff": "1", "vars": [["x", 2, 3]]}]))
+        assert run(["sym", str(path), "--m", "2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].splitlines()[0] == "order 2"
+
+
 def test_sym_requires_exactly_one_target():
     code, _, err = invoke("sym")
     assert code == 2 and "exactly one" in err

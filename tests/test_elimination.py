@@ -8,10 +8,13 @@ matching sum too.  Symmetric determinants come from `_sym_det`, which must
 equal the cofactor expansion where it is affordable and Bareiss elimination
 past it.  Every pfaffian and determinant route returns its result in the
 scalar domain of the entries, and refuses a boolean entry and a float
-entry that is +-inf or nan.
+entry that is +-inf or nan.  A float hook keeps the exact products of its
+exact entries, and Decimal entries, another ring, give Decimal results equal
+to the Fraction routes.
 """
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -202,6 +205,46 @@ def test_result_type_follows_the_domain():
             assert type(completed_determinant(3, mode, entries)) is det_type, (name, mode)
     for mode in (SYMMETRIC, SKEW):
         assert type(completed_determinant(1, mode, {})) is Fraction
+
+
+def test_float_hooks_keep_exact_products(rng):
+    # an exact entry of a float hook row stays exact, so its product with an
+    # exact minor is exact, as in the rule's own sum, and an exact zero's
+    # product is the exact 0, no signed float zero; at 2n = 4 each minor is
+    # one entry, so every hook is `hook_sum`'s very float
+    def entry(i, j):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.uniform(-2, 2)
+        if kind == 1:
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9))
+        if kind == 2:
+            return rng.randint(1, 9)
+        return rng.choice((0, Fraction(0)))
+
+    for _ in range(300):
+        arr = _array(4, rng.choice((SYMMETRIC, SKEW)), entry)
+        hook = hook_expand_symmetric if arr.mode == SYMMETRIC else hook_expand_skew
+        if any(isinstance(v, float) for v in arr.entries.values()):
+            for s in range(1, 5):
+                assert _bits(hook(arr, s)) == _bits(hook_sum(arr, s)), (arr.entries, s)
+
+
+def test_other_ring_routes_match_fractions(rng):
+    # Decimal entries take the other-ring routes: the hook core, which gives
+    # the pfaffian as the hook along 1, and the skew embedding of the
+    # determinant; each result must be a Decimal equal to the Fraction route
+    for two_n in (4, 6):
+        for case in range(4):
+            values = {p: Decimal(rng.randint(-99, 99)).scaleb(-1) for p in upper_pairs(two_n)}
+            if case == 0:
+                values |= {p: Decimal(0) for p in values if 2 in p}
+            for mode, hook in ((SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)):
+                routes = [pfaffian_direct, determinant] + [lambda arr, s=s: hook(arr, s) for s in range(1, two_n + 1)]
+                got = [route(TriangularArray(two_n, mode, values)) for route in routes]
+                want = [route(TriangularArray(two_n, mode, {p: Fraction(v) for p, v in values.items()})) for route in routes]
+                assert all(type(v) is Decimal for v in got), (two_n, mode, got)
+                assert [Fraction(v) for v in got] == want, (two_n, mode)
 
 
 ROUTES = {

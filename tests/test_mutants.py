@@ -64,6 +64,12 @@ def _drop_d_j(kernel):
     return _rewritten(pfaffian, kernel, "(d[i] * d[j] // v.denominator)", "(d[i] // v.denominator)")
 
 
+def _no_row_signs(kernel):
+    """`_hook_expand` that records no `negated` position, so row s loses the
+    signs (-1)^(s-1) and, below s, the sign of -a(j,s)."""
+    return _rewritten(pfaffian, kernel, "            negated.append((s, k))\n", "            pass\n")
+
+
 def _one_beta(kernel):
     """`_cut_search` that tries only beta = 0, so it misses the reflections' cuts."""
     return _rewritten(symmetry, kernel, "    for beta in (0, 1):\n", "    for beta in (0,):\n")
@@ -92,6 +98,14 @@ THEOREM1 = "theorem1 n={} [symmetric-gens/{}] residual=0"
             ],
         ),
         (
+            "hook-oracle", "2..3", pfaffian, "_hook_expand", _no_row_signs,
+            [
+                (f"hook-oracle n={n} [exact,both modes,50 arrays] residual=0",
+                 "hook expansions", "direct pfaffian")
+                for n in (2, 3)
+            ],
+        ),
+        (
             "theorem1", "4..5", symmetry, "_cut_search", _one_beta,
             [
                 (THEOREM1.format(4, "cut-search"), "order 8", "dihedral subgroup, order 16"),
@@ -103,7 +117,10 @@ THEOREM1 = "theorem1 n={} [symmetric-gens/{}] residual=0"
             [(THEOREM1.format(3, "polynomial-action"), "order 72", "dihedral subgroup, order 12")],
         ),
     ],
-    ids=["hook-oracle/swap-sign", "hook-oracle/scaling", "theorem1/cut-search", "theorem1/membership"],
+    ids=[
+        "hook-oracle/swap-sign", "hook-oracle/scaling", "hook-oracle/row-signs",
+        "theorem1/cut-search", "theorem1/membership",
+    ],
 )
 def test_check_fails_on_its_kernel_mutant(monkeypatch, capsys, check, n, module, target, mutate, verdicts):
     """A search or elimination kernel broken where its check still runs to the end.
@@ -113,6 +130,8 @@ def test_check_fails_on_its_kernel_mutant(monkeypatch, capsys, check, n, module,
       not catch this mutant, because pf squared hides the sign.
     - `_hook_expand` scaling a Fraction entry (i, j) by d_i alone: the hook
       expansions no longer equal the direct pfaffian.
+    - `_hook_expand` passing no `negated` position to `_expand`: every hook
+      s > 1 keeps the signs the rule puts on row s, and fails.
     - `_cut_search` with beta = 0 only finds the rotations, order 2n of 4n.
       Dropping one member instead would make `make_group_report` raise a
       RuntimeError, a traceback and not a FAIL line.

@@ -6,8 +6,9 @@ width comes from a degree bound.  Each route must equal the matching sum
 or the cofactor expansion on arrays that mix position and generator
 variables, Fraction coefficients, int entries and zero Polys, including
 arrays whose result reaches the bound exactly at a power of two and one
-below it, and no route may multiply Poly monomials.  A determinant packs
-each entry once, in the skew mode too.
+below it, and no route may multiply Poly monomials.  A determinant, a
+hook expansion along any s and the pfaffian pack each entry once, in the
+skew mode too.
 """
 import random
 from fractions import Fraction
@@ -158,3 +159,25 @@ def test_determinants_pack_each_entry_once(monkeypatch, mode):
     [values] = handed
     # the ten generators, and the zero of the embedding's zero blocks
     assert sum(isinstance(v, Poly) for v in values) == 10 and len(values) == 11
+
+
+@pytest.mark.parametrize("mode, hook", [(SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)])
+def test_hooks_pack_each_entry_once(monkeypatch, mode, hook):
+    # the signs of hook row s go to `_expand` as positions, not as new -v objects
+    handed, packing = [], pfaffian._packing
+
+    def counting(values, factors):
+        values = list(values)
+        handed.append(values)
+        return packing(values, factors)
+
+    monkeypatch.setattr(pfaffian, "_packing", counting)
+    arr = TriangularArray.from_function(6, mode, a)
+    want = pfaffian_sum(arr)
+    # every hook, then the pfaffian, which is the hook along 1
+    for s in [*range(1, 7), None]:
+        handed.clear()
+        assert (pfaffian_direct(arr) if s is None else hook(arr, s)) == want, s
+        [values] = handed
+        # the fifteen generators, each once
+        assert len(values) == 15 and all(isinstance(v, Poly) for v in values), (s, len(values))

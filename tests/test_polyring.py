@@ -251,6 +251,23 @@ def test_product_and_sum_match_the_fraction_reference():
     assert mixed > 100  # the rotation of mixed monomials was exercised
 
 
+def test_a_variable_listed_twice_is_one_factor():
+    # the constructor adds the exponents, so x1 * x1^2 is x1^3, from JSON and from a term map
+    from_json = Poly.from_json_obj([{"coeff": "1", "vars": [["x", 1, 1], ["x", 1, 2]]}])
+    from_terms = Poly({((pos(1), 1), (pos(1), 2)): 1})
+    for p in (from_json, from_terms):
+        assert p == x(1) ** 3 and str(p) == "x1^3" and p.terms() == [(((pos(1), 3),), 1)]
+    assert Poly({((gen(1, 2), 2), (pos(3), 1), (gen(1, 2), 1)): 2}) == 2 * a(1, 2) ** 3 * x(3)
+    # two listings of one monomial are one term, and cancel when their coefficients do
+    twice = [{"coeff": "1", "vars": [["x", 2, 1], ["x", 1, 1]]}, {"coeff": "1", "vars": [["x", 1, 1], ["x", 2, 1]]}]
+    assert Poly.from_json_obj(twice) == 2 * x(1) * x(2)
+    twice[1]["coeff"] = "-1"
+    assert Poly.from_json_obj(twice) == Poly.zero()
+    # an exponent below 1 is refused before the exponents add
+    with pytest.raises(ValueError, match="exponents must be positive"):
+        Poly({((pos(1), 2), (pos(1), -1)): 1})
+
+
 def test_integral_coefficients_are_stored_as_ints(rng):
     for _ in range(30):
         p, q = Poly(random_mixed_terms(rng, (1,))), Poly(random_mixed_terms(rng, (1,)))
