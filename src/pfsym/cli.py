@@ -14,6 +14,7 @@ import random
 import sys
 from fractions import Fraction
 
+from . import pfaffian
 from .matchings import enumerate_pfaff, matching_count
 from .models import (
     COSINE,
@@ -228,8 +229,9 @@ def _run_ssym_skew(ns, rng, tol):
 
 def _run_theorem2(ns, rng, tol):
     """The collapse identity.  Not two routes: `pfaffian_direct` of the collapsed
-    array against c times `pfaffian_direct` of the reduced one, by `_expand` for
-    the square-difference kernel and by float elimination for the cosine one.
+    array against c times `pfaffian_direct` of the reduced one, by the route
+    `_pfaffian` picks for each: the Poly memo for the square-difference
+    kernel and float elimination for the cosine one.
     """
     numeric_tol = tol if tol is not None else 1e-12
     for n in ns:
@@ -245,8 +247,9 @@ def _run_theorem2(ns, rng, tol):
 
 
 def _run_theorem3(ns, rng, tol):
-    """Elimination at the integer points against the closed form
-    (-2)^(n-1) (2n-1), and for n <= 4 `_expand` against -(-2)^(n-1) g.
+    """`pfaffian_direct` at the integer points (the integer memo up to
+    2n = MEMO_MAX, elimination above) against the closed form
+    (-2)^(n-1) (2n-1), and for n <= 4 the Poly memo against -(-2)^(n-1) g.
     """
     for n in ns:
         r = verify_theorem3(n)
@@ -320,8 +323,9 @@ def _run_det_examples(ns, rng, tol):
 
 
 def _run_hook_oracle(ns, rng, tol):
-    """Every hook expansion, by `_subset_pf`, against `pfaffian_direct`, by
-    `_pf_eliminate`, on random Fraction arrays.
+    """Every hook expansion against `_pf_eliminate` of the array, on random
+    Fraction arrays.  Up to 2n = MEMO_MAX, which holds every n the check
+    takes, the hooks run the memo (`_subset_pf`), so the routes share no kernel.
     """
     for n in ns:
         two_n = 2 * n
@@ -331,7 +335,7 @@ def _run_hook_oracle(ns, rng, tol):
             for _ in range(50):
                 entries = {p: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for p in pairs}
                 arr = TriangularArray(two_n, mode, entries)
-                direct = pfaffian_direct(arr)
+                direct = pfaffian._pf_eliminate(entries, tuple(range(1, two_n + 1)), Fraction)
                 ok &= all(expand(arr, s) == direct for s in range(1, two_n + 1))
         yield n, "exact,both modes,50 arrays", ok, 0.0, "hook expansions", "direct pfaffian"
 
@@ -347,7 +351,7 @@ def _run_skew_det(ns, rng, tol):
         for _ in range(50):
             arr = TriangularArray(two_n, SKEW, {p: Fraction(rng.randint(-9, 9)) for p in pairs})
             det = _bareiss_det(_completed_rows(two_n, SKEW, arr.entries))
-            ok &= det == pfaffian_direct(arr) ** 2
+            ok &= det == pfaffian._pf_eliminate(arr.entries, tuple(range(1, two_n + 1)), Fraction) ** 2
         yield n, "exact,50 arrays", ok, 0.0, "determinant", "pfaffian squared"
 
 

@@ -137,9 +137,10 @@ def verify_theorem3(n: int) -> VerificationReport:
 
     Symbolically, for n <= 4: pf equals -(-2)**(n-1) times the cycle
     product.  At the integer positions (1..2n) this specializes to
-    (-2)**(n-1) * (2n-1); that value is recomputed here exactly by skew
-    elimination on the rational array, for every n, so the numeric check
-    does not lean on the symbolic identity.
+    (-2)**(n-1) * (2n-1); that value is recomputed here exactly from the
+    rational array, for every n, by the integer memo up to 2n = MEMO_MAX
+    and by elimination above it, so the numeric check does not lean on the
+    symbolic identity.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -9,29 +9,28 @@ completion.  The hook expansions and the determinant do use the mode.
 
 Scalars are pluggable: ints, Fractions, floats, Poly or any other ring.
 Each route reads the scalar domain once (`_domain`) and returns its
-result in it; a determinant of ints is a Fraction.  Float and rational
-pfaffians come from pivoted skew elimination in O(n^3) operations
-(`_pf_eliminate`), their determinants from its square for a skew matrix
-(0 at odd size) and from symmetric elimination with 1x1 and 2x2 pivots
-(`_sym_det`) for a symmetric one, both in Fractions; Bareiss elimination
-(`_bareiss_det`) stays as the independent route of `verify skew-det`.  A
-float result that overflows, or a float entry that is +-inf or nan, is a
-ValueError that names it, never +-inf or nan, which JSON cannot hold.
-Every other route runs the memoized first-row expansion `_subset_pf`
-through `_expand`, which packs Poly entries once per call: `_hook_expand`
-gives both hook expansions in every domain and the Poly and other-ring
-pfaffian as the hook along 1 (`generic_pfaffian` among them), up to
-2n = EXPAND_CAP for those rings, and an int or Fraction hook runs on
-integers, by pf(DAD) = det D pf A; Poly and other-ring determinants
-expand the skew embedding [[0, M], [-M^T, 0]] at any size.  No route
-enumerates matchings; the definitional oracles live with the tests
-(`tests/pf_oracles.py`).
+result in it; a determinant of ints is a Fraction.  `_pfaffian` alone
+picks a pfaffian algorithm, from the domain and 2n: floats take pivoted
+skew elimination in O(n^3) operations (`_pf_eliminate`), ints and
+Fractions the memoized expansion `_subset_pf` on integers up to
+2n = MEMO_MAX and elimination in Fractions above it, Poly and other rings
+the memoized expansion up to 2n = EXPAND_CAP.  `pfaffian_direct`, both
+hook rules (`_hook_expand`: hook s is (-1)^(s-1) times the pfaffian of the
+array relabeled to put s first) and the skew determinant (pf^2, 0 at odd
+size) call it.  Symmetric determinants of numbers come from symmetric
+elimination with 1x1 and 2x2 pivots (`_sym_det`), in Fractions; Bareiss
+elimination (`_bareiss_det`) stays as the independent route of `verify
+skew-det`.  Poly and other-ring determinants expand the skew embedding
+[[0, M], [-M^T, 0]] by `_expand`, which packs Poly entries once per call,
+at any size.  A float result that overflows, or a float entry that is
++-inf or nan, is a ValueError that names it, never +-inf or nan, which
+JSON cannot hold.  No route enumerates matchings; the definitional
+oracles live with the tests (`tests/pf_oracles.py`).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Mapping
 
 from .polyring import Poly, _exact, _packing, gen
@@ -209,30 +208,28 @@ def _domain(entries: Mapping[tuple[int, int], object]):
     return next((d for d in (Poly, object, float, Fraction) if d in kinds), int)
 
 
-def _into(domain, value):
-    """`value` in `domain`: elimination of ints works in Fractions."""
-    if isinstance(value, domain):
-        return value
-    return domain(value)
-
-
-def _expand(domain, entries: Mapping[tuple[int, int], object], live: tuple[int, ...], factors: int, negated=()):
-    """`_subset_pf(entries, live)` in `domain`, a sum of products of at most
-    `factors` entries, where the positions in `negated` hold the negation of
-    their value.  Poly entries are packed (`polyring._packing`), so a product
-    of monomials is one integer addition, and the sum is unpacked into a Poly
-    even when it is an int; any other sum goes through `_into`."""
+def _expand(domain, entries: Mapping[tuple[int, int], object], live: tuple[int, ...], negated=()):
+    """`_subset_pf(entries, live)` in `domain` (int, Poly or another ring),
+    where a position (i, j) in `negated` holds -entries[(i, j)], or
+    -entries[(j, i)] for i > j.  Poly entries are packed
+    (`polyring._packing`), so a product of monomials is one integer
+    addition, and the sum is unpacked into a Poly even when it is an int.
+    Another ring's sum that met only int entries, such as the int 0 ending
+    a row of int zeros, takes the ring's zero."""
     if domain is Poly:
         # a value placed at several positions is one object, scanned and packed once
         distinct = {id(v): v for v in entries.values()}
-        pack, unpack = _packing(distinct.values(), factors)
+        pack, unpack = _packing(distinct.values(), len(live) // 2)
         packed = {k: pack(v) for k, v in distinct.items()}
         entries = {p: packed[id(v)] for p, v in entries.items()}
-    else:
-        unpack = partial(_into, domain)
     if negated:
-        entries = entries | {p: -entries[p] for p in negated}
-    return unpack(_subset_pf(entries, live, {}))
+        entries = entries | {(i, j): -entries[(i, j) if i < j else (j, i)] for i, j in negated}
+    total = _subset_pf(entries, live, {})
+    if domain is Poly:
+        return unpack(total)
+    if domain is object and isinstance(total, int):
+        return next(v for v in entries.values() if not isinstance(v, int)) * 0 + total
+    return total
 
 
 def _finite(value, what: str):
@@ -257,41 +254,68 @@ def _refuse_non_finite(entries: Mapping[tuple[int, int], object]) -> None:
 # Determinants take no cap.
 EXPAND_CAP = 16
 
+# Largest 2n at which an int or Fraction pfaffian runs the memo on integers;
+# above it, elimination in Fractions is faster.  Per pfaffian of a random
+# array with one-digit denominators (2-core VM, Python 3.11), memo against
+# elimination: 0.42 against 0.95 ms at 2n = 10, 1.4 against 1.7 ms at 12,
+# 3.0 against 1.6 ms at 14.  One-digit ints and six-digit denominators
+# cross between 12 and 14 too.
+MEMO_MAX = 12
+
 
 # -- pfaffians ---------------------------------------------------------------
 
 
 def pfaffian_direct(arr: TriangularArray):
-    """Pfaffian of the array, by the fastest route its scalar domain allows.
+    """Pfaffian of the array, by the route `_pfaffian` picks for its scalar domain.
 
     Only upper entries appear, so every mode gives the pfaffian of the skew
-    completion.  `_domain` picks the route and the result type from the
-    entries: ints give an int, Fractions (ints among them) a Fraction and
-    floats a float, all by pivoted skew elimination (`_pf_eliminate`).  Poly
-    entries give a Poly, and any other scalar its own ring, as the hook
-    along 1 (`_hook_expand`), for 2n up to EXPAND_CAP.  A boolean entry, or
-    a float beside a Poly, is a ValueError, and so is a float result that
-    overflowed to +-inf or nan.  The entries are scanned for a float +-inf
-    or nan, which the error names, only when the float result is not finite
-    or is zero: elimination that meets such an entry ends in one of those.
+    completion.  `_domain` reads the result type from the entries: ints
+    give an int, Fractions (ints among them) a Fraction, floats a float,
+    Poly entries a Poly and any other scalar its own ring.  A boolean
+    entry, or a float beside a Poly, is a ValueError, and so are a float
+    entry +-inf or nan, a float result that overflowed to +-inf or nan,
+    and a Poly or other-ring array above 2n = EXPAND_CAP.
     """
-    domain = _domain(arr.entries)
-    if arr.two_n == 0:
-        return 1
+    return _finite(_pfaffian(arr.entries, tuple(range(1, arr.two_n + 1)), _domain(arr.entries)), "pfaffian")
+
+
+def _pfaffian(entries: Mapping[tuple[int, int], object], live: tuple[int, ...], domain, negated=()):
+    """Pfaffian in `domain` of the skew completion A of the upper `entries`,
+    relabeled on `live`, an ordering of 1..2n: the array A[live[u]][live[v]].
+
+    `negated` lists the pairs (i, j), i > j, that `live` puts in that order,
+    where the entry is -a(j, i); there are none exactly when `live` is 1..2n
+    in order.  The one place that picks a pfaffian algorithm, from the
+    domain and 2n; see the module docstring.  A float result that is zero
+    or not finite has the entries scanned for a float +-inf or nan, which is
+    a ValueError naming it: elimination that meets one ends in such a result.
+    """
+    two_n = len(live)
     if domain is float:
-        value = _into(float, _pf_eliminate(arr.two_n, arr.entries, float))
+        value = _pf_eliminate(entries, live, float, negated)
         if not (value and math.isfinite(value)):
-            # an inf or nan entry ends the elimination in +-inf, nan or a zero pivot
-            _refuse_non_finite(arr.entries)
-        return _finite(value, "pfaffian")
+            _refuse_non_finite(entries)
+        return value
     if domain in (int, Fraction):
-        return _into(domain, _pf_eliminate(arr.two_n, arr.entries, Fraction))
-    # the expansion along (1..2n): hook 1, whose row takes no sign in either rule
-    return _hook_expand(arr, 1, domain)
+        if two_n > MEMO_MAX:
+            value = _pf_eliminate(entries, live, Fraction, negated)
+            return int(value) if domain is int else value
+        # pf(DAD) = det D pf A, D = diag(d_i) with d_i the lcm of the denominators of row i
+        d = [1] * (two_n + 1)
+        for (i, _), v in entries.items():
+            d[i] = math.lcm(d[i], v.denominator)
+        scaled = {(i, j): v.numerator * (d[i] * d[j] // v.denominator) for (i, j), v in entries.items()}
+        total = _expand(int, scaled, live, negated)
+        return total if domain is int else Fraction(total, math.prod(d))
+    if two_n > EXPAND_CAP:
+        raise ValueError(f"two_n={two_n} exceeds the memoized-expansion cap {EXPAND_CAP}")
+    return _expand(domain, entries, live, negated)
 
 
-def _pf_eliminate(size: int, entries: Mapping[tuple[int, int], object], cast):
-    """Pfaffian of the skew completion by pivoted Schur elimination.
+def _pf_eliminate(entries: Mapping[tuple[int, int], object], live: tuple[int, ...], cast, negated=()):
+    """Pfaffian of the skew completion of the upper `entries`, relabeled on
+    `live` as in `_pfaffian`, by pivoted Schur elimination.
 
     Parlett & Reid, BIT 10 (1970); Wimmer, ACM TOMS 38(4) (2012).  The
     entries are cast to `cast` (float or Fraction).  Each step eliminates
@@ -303,16 +327,21 @@ def _pf_eliminate(size: int, entries: Mapping[tuple[int, int], object], cast):
     Floats pivot on the entry of largest magnitude, Fractions on the first
     nonzero entry.
     """
+    size = len(live)
     a = [[0] * size for _ in range(size)]
     for (i, j), v in entries.items():
         w = cast(v)
         a[i - 1][j - 1] = w
         a[j - 1][i - 1] = -w
+    if negated:
+        # `live` is not 1..2n in order
+        a = [[a[i - 1][j - 1] for j in live] for i in live]
     result = cast(1)
     while a:
         row = a[0]
         if cast is float:
-            piv = max(range(1, len(row)), key=lambda j: abs(row[j]))
+            mags = list(map(abs, row))
+            piv = mags.index(max(mags[1:]), 1)
         else:
             piv = next((j for j in range(1, len(row)) if row[j] != 0), 1)
         p = row[piv]
@@ -456,72 +485,24 @@ def _hook_rule(arr: TriangularArray, s: int, mode: str):
 
 
 def _hook_expand(arr: TriangularArray, s: int, domain):
-    """Both hook rules, and the pfaffian as the hook along 1, by one
-    memoized expansion (`_expand`) in the scalar domain `domain`.
+    """Both hook rules along s: (-1)^(s-1) times the pfaffian of the array
+    relabeled on live = (s, 1..s-1, s+1..2n), by `_pfaffian` in `domain`.
 
     The rule for s is the sum over j != s of (-1)^(s+j+1+h) a(s,j)
     pf(A without s, j): h = 0 and a(s,j) = a(j,s) for j < s in a symmetric
     array, h = H(s-j) and a(s,j) = -a(j,s) in a skew one.  For j < s both
     give the term (-1)^(s+j+1) a(j,s) pf, so the rules are one sum: the
-    expansion along live = (s, 1..s-1, s+1..2n), whose row s holds a(s,j)
-    for j > s and -a(j,s) for j < s, times (-1)^(s-1), as `_subset_pf`
-    signs partner j by its position t = j - [j > s].  Row s holds the entry
-    objects, and its signs go to `_expand` as `negated` positions; at s = 1
-    none flips.  An int or Fraction hook runs on integers, by
-    pf(DAD) = det D pf A with d_i the lcm of the denominators of row i.  A
-    float array's row s holds `_FloatHookEntry`s, which put the sign on the
-    product, so the result is the float of the rule's own sum, the sign of
-    zero included.  A float entry +-inf or nan, and a Poly or other-ring
-    array above 2n = EXPAND_CAP, are refused before any expansion, and a
-    float sum that overflowed is a ValueError.
+    expansion along the first row of the skew completion relabeled on live,
+    whose row s holds a(s,j) for j > s and -a(j,s) for j < s, times
+    (-1)^(s-1), as `_subset_pf` signs partner j by its position
+    t = j - [j > s].  That expansion is the pfaffian of the relabeled
+    array, so every hook equals the pfaffian.  The pairs (s, j), j < s, are
+    the ones `live` puts below the diagonal.  A float result that overflowed
+    is a ValueError.
     """
-    two_n = arr.two_n
-    live = (s, *range(1, s), *range(s + 1, two_n + 1))
-    upper = arr.entries
-    if domain in (int, Fraction):
-        # pf(DAD) = det D pf A, D = diag(d_i) with d_i the lcm of the denominators of row i
-        d = [1] * (two_n + 1)
-        for (i, _), v in upper.items():
-            d[i] = math.lcm(d[i], v.denominator)
-        upper = {(i, j): v.numerator * (d[i] * d[j] // v.denominator) for (i, j), v in upper.items()}
-    elif domain is float:
-        _refuse_non_finite(upper)
-    elif two_n > EXPAND_CAP:
-        raise ValueError(f"two_n={two_n} exceeds the memoized-expansion cap {EXPAND_CAP}")
-    entries = dict(upper)
-    negated = []
-    for k in live[1:]:
-        v = upper[(k, s) if k < s else (s, k)]
-        flip = (k < s) == (s % 2 == 1)
-        if domain is float:
-            # the skew rule reads -a(k,s) for k < s: for an exact zero that is 0 itself, so its term takes no sign
-            flip ^= arr.mode == SKEW and k < s and v == 0 and not isinstance(v, float)
-            v = _FloatHookEntry(v)
-        entries[(s, k)] = v
-        if flip:
-            negated.append((s, k))
-    total = _expand(int if domain is Fraction else domain, entries, live, two_n // 2, negated)
-    return Fraction(total, math.prod(d)) if domain is Fraction else _finite(total, "hook expansion")
-
-
-class _FloatHookEntry:
-    """Entry `value` of a float hook row, times -1 if `negated`: always true,
-    so `_subset_pf` skips no term, and `-` flips the sign, which falls on the
-    product, as in the hook rule, so that a zero sum is -0.0 only when the
-    rule's is and an exact entry times an exact minor stays exact."""
-
-    def __init__(self, value, negated: bool = False):
-        self.value, self.negated = value, negated
-
-    def __bool__(self) -> bool:
-        return True
-
-    def __neg__(self) -> _FloatHookEntry:
-        return _FloatHookEntry(self.value, not self.negated)
-
-    def __mul__(self, other):
-        product = self.value * other
-        return -product if self.negated else product
+    live = (s, *range(1, s), *range(s + 1, arr.two_n + 1))
+    value = _pfaffian(arr.entries, live, domain, [(s, k) for k in range(1, s)])
+    return _finite(-value if s % 2 == 0 else value, "hook expansion")
 
 
 # -- determinants -------------------------------------------------------------
@@ -543,7 +524,7 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     is a ValueError, as for a TriangularArray.  `_domain` picks the route
     and the result type from the entries.  Ints and Fractions give a
     Fraction, and floats the float of that exact value: a skew matrix has
-    det = pf^2 at even size (by `_pf_eliminate` in Fractions) and 0 at odd
+    det = pf^2 at even size (its Fraction pfaffian by `_pfaffian`) and 0 at odd
     size, and a symmetric one goes through `_sym_det`, symmetric
     elimination in Fractions with 1x1 and 2x2 pivots.  A float entry that
     is +-inf or nan is a ValueError naming it, and a value that does not
@@ -567,9 +548,10 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     if domain in (int, Fraction, float):
         if domain is float:
             _refuse_non_finite(entries)
+            entries = {p: Fraction(v) for p, v in entries.items()}
         if mode == SKEW:
             # a skew matrix of odd size is singular, and of even size has det = pf^2
-            exact = _pf_eliminate(size, entries, Fraction) ** 2 if size % 2 == 0 else Fraction(0)
+            exact = _pfaffian(entries, tuple(range(1, size + 1)), Fraction) ** 2 if size % 2 == 0 else Fraction(0)
         else:
             exact = _sym_det(size, entries)
         if domain is not float:
@@ -586,7 +568,7 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
         embedded[(i, size + j)] = embedded[(j, size + i)] = v
     # a skew entry sits below as -v, which `_expand` negates after packing v once
     negated = [(j, size + i) for i, j in entries] if mode == SKEW else ()
-    value = _expand(domain, embedded, tuple(range(1, 2 * size + 1)), size, negated)
+    value = _expand(domain, embedded, tuple(range(1, 2 * size + 1)), negated)
     return -value if size * (size - 1) // 2 % 2 else value
 
 

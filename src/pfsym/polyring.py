@@ -103,6 +103,9 @@ class Poly:
                 if coeff == 0:
                     continue
                 mono = tuple(sorted(((_check_var(v), e) for v, e in mono), key=lambda p: _var_key(p[0])))
+                for pair in mono:
+                    if type(pair[1]) is not int:
+                        raise ValueError(f"bad variable record: {pair!r}")
                 if any(e < 1 for _, e in mono):
                     raise ValueError(f"exponents must be positive: {mono!r}")
                 # a variable listed twice is one factor: its exponents add

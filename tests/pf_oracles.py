@@ -73,3 +73,14 @@ def cofactor_det(rows: list[list]):
         term = rows[0][j] * cofactor_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def schur_pfaffian(xs):
+    """Schur's closed form, J. reine angew. Math. 139 (1911): the pfaffian
+    of the array (x_i - x_j)/(x_i + x_j), i < j, is the product of its
+    entries, for x_i with no x_i + x_j = 0.  It calls no pfsym route."""
+    total = 1
+    for i, xi in enumerate(xs):
+        for xj in xs[i + 1 :]:
+            total *= (xi - xj) / (xi + xj)
+    return total

@@ -1,16 +1,18 @@
-"""Pivoted skew elimination behind `pfaffian_direct`, against its oracles.
+"""Pivoted skew elimination and the routes `_pfaffian` picks, against their oracles.
 
-The exact route must equal the matching sum `pfaffian_sum` bit for bit,
-the float route must agree with the matching-sum double kernel, and both
-must satisfy the pfaffian's identities at sizes past the enumeration cap.
-Poly arrays take the memoized row expansion instead, which must equal the
-matching sum too.  Symmetric determinants come from `_sym_det`, which must
+Exact elimination and the exact routes must equal the matching sum
+`pfaffian_sum` bit for bit, the float route must agree with the
+matching-sum double kernel, and both must satisfy the pfaffian's
+identities at sizes past the enumeration cap.  Each domain and size runs
+one kernel: floats elimination, ints and Fractions the memo up to
+MEMO_MAX and elimination above it, Poly arrays the memo, which must equal
+the matching sum too.  Symmetric determinants come from `_sym_det`, which must
 equal the cofactor expansion where it is affordable and Bareiss elimination
 past it.  Every pfaffian and determinant route returns its result in the
 scalar domain of the entries, and refuses a boolean entry and a float
-entry that is +-inf or nan.  A float hook keeps the exact products of its
-exact entries, and Decimal entries, another ring, give Decimal results equal
-to the Fraction routes.
+entry that is +-inf or nan.  A float hook is the float elimination of the
+array relabeled to put s first, bit for bit, and Decimal entries, another
+ring, give Decimal results equal to the Fraction routes.
 """
 import math
 import re
@@ -26,6 +28,7 @@ from pfsym import matchings
 from pfsym import pfaffian
 from pfsym.models import COSINE, SQUARE_DIFF, kernel_array, position_polys
 from pfsym.pfaffian import (
+    MEMO_MAX,
     MODES,
     SKEW,
     SYMMETRIC,
@@ -68,13 +71,18 @@ def _exact_cases(rng, two_n, mode):
     return cases
 
 
+def _eliminated(arr):
+    """`_pf_eliminate` in Fractions of the array, which `pfaffian_direct` runs only above MEMO_MAX."""
+    return pfaffian._pf_eliminate(arr.entries, tuple(range(1, arr.two_n + 1)), Fraction)
+
+
 def test_exact_elimination_equals_matching_sum(rng):
     for two_n in range(0, 11, 2):
         for mode in MODES:
             for arr in _exact_cases(rng, two_n, mode):
                 got = pfaffian_direct(arr)
                 want = pfaffian_sum(arr)
-                assert got == want, (two_n, mode, arr.entries)
+                assert got == want == _eliminated(arr), (two_n, mode, arr.entries)
                 assert type(got) is type(want), (two_n, mode, type(got), type(want))
 
 
@@ -84,13 +92,13 @@ def test_exact_elimination_with_large_distinct_denominators(rng):
 
     for two_n in range(2, 11, 2):
         arr = _array(two_n, SKEW, lambda i, j: big())
-        assert pfaffian_direct(arr) == pfaffian_sum(arr), two_n
+        assert pfaffian_direct(arr) == pfaffian_sum(arr) == _eliminated(arr), two_n
 
 
 def test_singular_and_zero_row_arrays_vanish(rng):
     for two_n in (4, 6, 8):
         for arr in _exact_cases(rng, two_n, SKEW)[-2:]:
-            assert pfaffian_direct(arr) == 0
+            assert pfaffian_direct(arr) == 0 == _eliminated(arr)
 
 
 def test_float_elimination_matches_double_kernel(rng):
@@ -159,12 +167,11 @@ DOMAINS = {
     "Poly and ints": lambda i, j: a(i, j) if (i + j) % 2 else i * j,
     "zero Polys": lambda i, j: Poly.zero(),
     "a zero Poly and ints": lambda i, j: Poly.zero() if (i, j) == (1, 2) else i * j,
+    # a zero row ends the elimination on a zero pivot: 0.0, and -0.0 at an even hook
     "float, row 2 zero": lambda i, j: 0.0 if 2 in (i, j) else i / j,
     "float, row 2 exact zeros": lambda i, j: 0 if 2 in (i, j) else i / j,
     "float, row 2 negative zero": lambda i, j: -0.0 if 2 in (i, j) else -i / j,
-    # along hook 1 every term is -0.0, so the sum is -0.0
     "float, row 1 zero": lambda i, j: 0.0 if i == 1 else (-1.0) ** (i + j),
-    # along hook 4 of the skew array every term is -0.0, as the skew rule reads -0 = 0 below s
     "float, column 4 exact zeros": lambda i, j: 0 if j == 4 else (-1.0) ** (i + j + 1),
 }
 
@@ -174,6 +181,13 @@ DET_TYPES = {name: float for name in DOMAINS if name.startswith("float")} | {"in
 def _bits(value):
     """A float with the sign of zero made visible; any other value as it is."""
     return (value, math.copysign(1.0, value)) if isinstance(value, float) else value
+
+
+def _relabeled_hook(arr, s):
+    """(-1)^(s-1) times `pfaffian_direct` of the skew completion of `arr`
+    relabeled on (s, 1..s-1, s+1..2n): what hook s must equal."""
+    live = [s, *range(1, s), *range(s + 1, arr.two_n + 1)]
+    return (-1) ** (s - 1) * pfaffian_direct(_relabel(arr, live))
 
 
 def test_result_type_follows_the_domain():
@@ -196,9 +210,15 @@ def test_result_type_follows_the_domain():
             want = type(pfaffian_sum(arr))
             assert type(pfaffian_direct(arr)) is want, (name, mode)
             for s in range(1, 5):
-                # the hook rule's own sum, and for floats its very float, the sign of zero included
+                # the hook rule's own sum; a float hook is the very float of the
+                # elimination of the relabeled array, the sign of zero included
                 got = hook(arr, s)
-                assert type(got) is want and _bits(got) == _bits(hook_sum(arr, s)), (name, mode, s)
+                assert type(got) is want, (name, mode, s)
+                if want is float:
+                    assert _bits(got) == _bits(_relabeled_hook(arr, s)), (name, mode, s)
+                    assert math.isclose(got, hook_sum(arr, s), rel_tol=1e-12, abs_tol=1e-12), (name, mode, s)
+                else:
+                    assert got == hook_sum(arr, s), (name, mode, s)
             det_type = DET_TYPES.get(name, Poly)
             assert type(determinant(arr)) is det_type, (name, mode)
             entries = {p: v for p, v in arr.entries.items() if p[1] <= 3}
@@ -207,11 +227,10 @@ def test_result_type_follows_the_domain():
         assert type(completed_determinant(1, mode, {})) is Fraction
 
 
-def test_float_hooks_keep_exact_products(rng):
-    # an exact entry of a float hook row stays exact, so its product with an
-    # exact minor is exact, as in the rule's own sum, and an exact zero's
-    # product is the exact 0, no signed float zero; at 2n = 4 each minor is
-    # one entry, so every hook is `hook_sum`'s very float
+def test_float_hooks_are_the_elimination_of_the_relabeled_array(rng):
+    # float, Fraction, int and exact zero entries mixed: every hook is the
+    # very float of float elimination of the relabeled array, the sign of
+    # zero included, and equals the rule's own sum to rounding
     def entry(i, j):
         kind = rng.randrange(4)
         if kind == 0:
@@ -222,23 +241,31 @@ def test_float_hooks_keep_exact_products(rng):
             return rng.randint(1, 9)
         return rng.choice((0, Fraction(0)))
 
-    for _ in range(300):
-        arr = _array(4, rng.choice((SYMMETRIC, SKEW)), entry)
-        hook = hook_expand_symmetric if arr.mode == SYMMETRIC else hook_expand_skew
-        if any(isinstance(v, float) for v in arr.entries.values()):
-            for s in range(1, 5):
-                assert _bits(hook(arr, s)) == _bits(hook_sum(arr, s)), (arr.entries, s)
+    for two_n, count in ((4, 300), (6, 60), (8, 20)):
+        for _ in range(count):
+            arr = _array(two_n, rng.choice((SYMMETRIC, SKEW)), entry)
+            hook = hook_expand_symmetric if arr.mode == SYMMETRIC else hook_expand_skew
+            if any(isinstance(v, float) for v in arr.entries.values()):
+                want = pfaffian_sum(arr)
+                for s in range(1, two_n + 1):
+                    got = hook(arr, s)
+                    assert _bits(got) == _bits(_relabeled_hook(arr, s)), (arr.entries, s)
+                    assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9), (arr.entries, s)
 
 
 def test_other_ring_routes_match_fractions(rng):
-    # Decimal entries take the other-ring routes: the hook core, which gives
-    # the pfaffian as the hook along 1, and the skew embedding of the
-    # determinant; each result must be a Decimal equal to the Fraction route
+    # Decimal entries take the other-ring routes: the memoized expansion of
+    # `_pfaffian`, for the pfaffian and every hook, and the skew embedding of
+    # the determinant; each result must be a Decimal equal to the Fraction
+    # route, also when row 1 holds only int zeros and the expansion meets no
+    # Decimal along it
     for two_n in (4, 6):
-        for case in range(4):
+        for case in range(5):
             values = {p: Decimal(rng.randint(-99, 99)).scaleb(-1) for p in upper_pairs(two_n)}
             if case == 0:
                 values |= {p: Decimal(0) for p in values if 2 in p}
+            if case == 4:
+                values |= {p: 0 for p in values if p[0] == 1}
             for mode, hook in ((SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)):
                 routes = [pfaffian_direct, determinant] + [lambda arr, s=s: hook(arr, s) for s in range(1, two_n + 1)]
                 got = [route(TriangularArray(two_n, mode, values)) for route in routes]
@@ -302,6 +329,51 @@ def test_elimination_enumerates_no_matchings_and_ignores_the_cap(monkeypatch, rn
         assert isinstance(pfaffian_direct(_array(two_n, SKEW, lambda i, j: rng.uniform(-1, 1))), float)
         assert isinstance(pfaffian_direct(_array(two_n, SKEW, lambda i, j: Double(rng.uniform(-1, 1)))), float)
         assert isinstance(pfaffian_direct(_array(two_n, SKEW, lambda i, j: random_fraction(rng))), Fraction)
+
+
+def _counted_kernels(monkeypatch):
+    """Count the calls of `_pf_eliminate` and `_subset_pf`, recursion included."""
+    calls = dict.fromkeys(("_pf_eliminate", "_subset_pf"), 0)
+    for name in calls:
+        def counted(*args, name=name, kernel=getattr(pfaffian, name)):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(pfaffian, name, counted)
+    return calls
+
+
+# (domain, fill, 2n, the kernel `_pfaffian` must pick) on both sides of MEMO_MAX
+KERNEL_ROUTES = [
+    ("int", lambda rng: rng.randint(-9, 9), MEMO_MAX, "_subset_pf"),
+    ("int", lambda rng: rng.randint(-9, 9), MEMO_MAX + 2, "_pf_eliminate"),
+    ("Fraction", random_fraction, MEMO_MAX, "_subset_pf"),
+    ("Fraction", random_fraction, MEMO_MAX + 2, "_pf_eliminate"),
+    ("float", lambda rng: rng.uniform(-1, 1), 4, "_pf_eliminate"),
+    ("float", lambda rng: rng.uniform(-1, 1), MEMO_MAX + 2, "_pf_eliminate"),
+    ("Poly", lambda rng: a(1, 2) + rng.randint(-2, 2), 6, "_subset_pf"),
+]
+
+
+@pytest.mark.parametrize(
+    "domain, fill, two_n, kernel", KERNEL_ROUTES, ids=[f"{d}-{two_n}" for d, _, two_n, _ in KERNEL_ROUTES]
+)
+def test_each_domain_and_size_runs_one_kernel(monkeypatch, rng, domain, fill, two_n, kernel):
+    # pfaffian_direct, both hook rules along 1, n + 1 and 2n (every s at
+    # 2n = 4), and for ints and Fractions the skew determinant (pf^2) run
+    # `kernel` and never the other one; a float determinant is exact, so it
+    # takes the Fraction route
+    calls = _counted_kernels(monkeypatch)
+    hooks = (1, two_n // 2 + 1, two_n) if two_n > 4 else range(1, two_n + 1)
+    for mode, hook in ((SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)):
+        arr = _array(two_n, mode, lambda i, j: fill(rng))
+        routes = [pfaffian_direct] + [lambda arr, s=s: hook(arr, s) for s in hooks]
+        if mode == SKEW and domain in ("int", "Fraction"):
+            routes.append(determinant)
+        for route in routes:
+            calls.update(dict.fromkeys(calls, 0))
+            route(arr)
+            assert calls[kernel] > 0 and sum(calls.values()) == calls[kernel], (mode, calls)
 
 
 def test_poly_arrays_keep_the_enumeration_cap():

@@ -1,11 +1,13 @@
 """Fraction hook expansions on integers, against two oracles.
 
-A Fraction hook expansion scales entry (i, j) by d_i d_j, with d_i the lcm
-of the denominators of row i, runs `_subset_pf` on those ints and divides
-by the product of the d_i: pf(DAD) = det D pf A.  Every hook of both modes
-must equal the paper's rule with its minors evaluated by `_subset_pf` on
-the Fraction entries themselves (the unscaled route), and the direct
-pfaffian by elimination.  Int arrays keep their int result.
+Up to 2n = MEMO_MAX a Fraction hook expansion scales entry (i, j) by
+d_i d_j, with d_i the lcm of the denominators of row i, runs `_subset_pf`
+on those ints and divides by the product of the d_i: pf(DAD) = det D pf A;
+at 2n = 14 it is elimination in Fractions.  Every hook of both modes must
+equal the paper's rule with its minors evaluated by `_subset_pf` on the
+Fraction entries themselves (the unscaled route), and the pfaffian by
+`_pf_eliminate`, which `pfaffian_direct` runs only above MEMO_MAX.  Int
+arrays keep their int result.
 """
 import random
 from fractions import Fraction
@@ -16,14 +18,18 @@ from pfsym.pfaffian import (
     SKEW,
     SYMMETRIC,
     TriangularArray,
+    _pf_eliminate,
     _subset_pf,
     hook_expand_skew,
     hook_expand_symmetric,
-    pfaffian_direct,
     upper_pairs,
 )
 
 HOOKS = ((SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew))
+
+
+def eliminated(arr):
+    return _pf_eliminate(arr.entries, tuple(range(1, arr.two_n + 1)), Fraction)
 
 DENOMINATORS = {"den<=9": (9, 9), "den 6 digits": (10**6, 10**6 - 1)}
 
@@ -71,7 +77,7 @@ def test_fraction_hooks_match_the_unscaled_route(family, mode, expand):
     for two_n in range(2, 15, 2):
         for name, entries in _cases(rng, two_n, mode, numerators, denominators).items():
             arr = TriangularArray(two_n, mode, entries)
-            direct = pfaffian_direct(arr)
+            direct = eliminated(arr)
             want = fraction_hooks(arr)
             for s in range(1, two_n + 1):
                 got = expand(arr, s)
@@ -83,7 +89,7 @@ def test_fraction_hooks_match_the_unscaled_route(family, mode, expand):
 def test_int_hooks_stay_int(rng, mode, expand):
     for two_n in (2, 6, 10):
         arr = TriangularArray(two_n, mode, {p: rng.randint(-9, 9) for p in upper_pairs(two_n)})
-        direct = pfaffian_direct(arr)
+        direct = eliminated(arr)
         for s in range(1, two_n + 1):
             got = expand(arr, s)
             assert type(got) is int and got == direct, (two_n, s)

@@ -3,7 +3,8 @@
 A check that compares a route with itself passes whatever the route
 computes.  Each test here breaks one kernel, runs the check at a small n
 and requires a FAIL line for every n, after a clean run that passes; the
-`_sym_det` mutants must make its oracle comparison find a mismatch.
+`_sym_det` mutants must make its oracle comparison find a mismatch, and the
+`_pf_eliminate` mutants Schur's pfaffian at 2n = 20 and 40.
 """
 import inspect
 import random
@@ -13,6 +14,7 @@ import pytest
 from pf_oracles import cofactor_det
 from pfsym import cli, pfaffian, symmetry
 from test_elimination import sym_det_mismatches
+from test_schur import schur_mismatches
 
 
 def _verify(capsys, check: str, n: str):
@@ -59,15 +61,21 @@ def _no_swap_sign(kernel):
 
 
 def _drop_d_j(kernel):
-    """`_hook_expand` that scales entry (i, j) of a Fraction array by d_i only,
+    """`_pfaffian` that scales entry (i, j) of a Fraction array by d_i only,
     not d_i d_j, so the products of a matching no longer share one factor."""
     return _rewritten(pfaffian, kernel, "(d[i] * d[j] // v.denominator)", "(d[i] // v.denominator)")
 
 
 def _no_row_signs(kernel):
-    """`_hook_expand` that records no `negated` position, so row s loses the
-    signs (-1)^(s-1) and, below s, the sign of -a(j,s)."""
-    return _rewritten(pfaffian, kernel, "            negated.append((s, k))\n", "            pass\n")
+    """`_expand` that reads a `negated` position without its sign, so hook
+    row s holds a(j,s) below s in place of -a(j,s)."""
+    return _rewritten(pfaffian, kernel, "-entries[(i, j) if i < j else (j, i)]", "entries[(i, j) if i < j else (j, i)]")
+
+
+def _no_hook_sign(kernel):
+    """`_hook_expand` that drops the factor (-1)^(s-1) of the relabeling."""
+    old = '    return _finite(-value if s % 2 == 0 else value, "hook expansion")\n'
+    return _rewritten(pfaffian, kernel, old, '    return _finite(value, "hook expansion")\n')
 
 
 def _one_beta(kernel):
@@ -90,7 +98,7 @@ THEOREM1 = "theorem1 n={} [symmetric-gens/{}] residual=0"
             ],
         ),
         (
-            "hook-oracle", "2..3", pfaffian, "_hook_expand", _drop_d_j,
+            "hook-oracle", "2..3", pfaffian, "_pfaffian", _drop_d_j,
             [
                 (f"hook-oracle n={n} [exact,both modes,50 arrays] residual=0",
                  "hook expansions", "direct pfaffian")
@@ -98,7 +106,15 @@ THEOREM1 = "theorem1 n={} [symmetric-gens/{}] residual=0"
             ],
         ),
         (
-            "hook-oracle", "2..3", pfaffian, "_hook_expand", _no_row_signs,
+            "hook-oracle", "2..3", pfaffian, "_expand", _no_row_signs,
+            [
+                (f"hook-oracle n={n} [exact,both modes,50 arrays] residual=0",
+                 "hook expansions", "direct pfaffian")
+                for n in (2, 3)
+            ],
+        ),
+        (
+            "hook-oracle", "2..3", pfaffian, "_hook_expand", _no_hook_sign,
             [
                 (f"hook-oracle n={n} [exact,both modes,50 arrays] residual=0",
                  "hook expansions", "direct pfaffian")
@@ -118,7 +134,7 @@ THEOREM1 = "theorem1 n={} [symmetric-gens/{}] residual=0"
         ),
     ],
     ids=[
-        "hook-oracle/swap-sign", "hook-oracle/scaling", "hook-oracle/row-signs",
+        "hook-oracle/swap-sign", "hook-oracle/scaling", "hook-oracle/row-signs", "hook-oracle/hook-sign",
         "theorem1/cut-search", "theorem1/membership",
     ],
 )
@@ -128,10 +144,12 @@ def test_check_fails_on_its_kernel_mutant(monkeypatch, capsys, check, n, module,
     - `_pf_eliminate` without the sign flip of a pivot swap: `hook-oracle`
       compares the elimination with `_subset_pf` and fails.  `skew-det` does
       not catch this mutant, because pf squared hides the sign.
-    - `_hook_expand` scaling a Fraction entry (i, j) by d_i alone: the hook
-      expansions no longer equal the direct pfaffian.
-    - `_hook_expand` passing no `negated` position to `_expand`: every hook
-      s > 1 keeps the signs the rule puts on row s, and fails.
+    - `_pfaffian` scaling a Fraction entry (i, j) by d_i alone: the hook
+      expansions, on the memo, no longer equal the elimination.
+    - `_expand` reading a `negated` position without its sign: on the memo,
+      every hook s > 1 loses the sign of -a(j,s) below s, and fails.
+    - `_hook_expand` without the factor (-1)^(s-1): every even hook has the
+      wrong sign.
     - `_cut_search` with beta = 0 only finds the rotations, order 2n of 4n.
       Dropping one member instead would make `make_group_report` raise a
       RuntimeError, a traceback and not a FAIL line.
@@ -162,3 +180,13 @@ def test_sym_det_oracle_fails_on_its_mutant(monkeypatch, old, new):
     assert sym_det_mismatches(random.Random(1), range(1, 7), cofactor_det) == []
     monkeypatch.setattr(pfaffian, "_sym_det", _rewritten(pfaffian, pfaffian._sym_det, old, new))
     assert sym_det_mismatches(random.Random(1), range(1, 7), cofactor_det) != []
+
+
+@pytest.mark.parametrize(
+    "mutate", [lambda kernel: lambda *args: 2 * kernel(*args), _no_swap_sign], ids=["twice the value", "no swap sign"]
+)
+def test_schur_oracle_fails_on_elimination_mutants(monkeypatch, mutate):
+    # Fraction elimination pivots on the first nonzero entry and never swaps
+    # on these arrays, so the swap mutant shows in the float half only
+    monkeypatch.setattr(pfaffian, "_pf_eliminate", mutate(pfaffian._pf_eliminate))
+    assert {two_n for two_n, _, _ in schur_mismatches((20, 40))} == {20, 40}

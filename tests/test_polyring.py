@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -266,6 +267,15 @@ def test_a_variable_listed_twice_is_one_factor():
     # an exponent below 1 is refused before the exponents add
     with pytest.raises(ValueError, match="exponents must be positive"):
         Poly({((pos(1), 2), (pos(1), -1)): 1})
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, Fraction(2), "2", None])
+def test_an_exponent_that_is_not_an_int_is_refused(bad):
+    # the constructor's message is the one `from_json_obj` gives such a record
+    with pytest.raises(ValueError, match=r"^bad variable record: \(\('x', 1\), " + re.escape(repr(bad)) + r"\)$"):
+        Poly({((pos(1), bad),): 1})
+    with pytest.raises(ValueError, match="^bad variable record: "):
+        Poly.from_json_obj([{"coeff": 1, "vars": [["x", 1, bad]]}])
 
 
 def test_integral_coefficients_are_stored_as_ints(rng):
