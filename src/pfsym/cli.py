@@ -363,10 +363,12 @@ def _run_skew_det(ns, rng, tol):
 # them is an error.  dihedral-invariance and ssym-skew stop at n = 6, where
 # each takes about 0.3 s; at n = 7, generic_pfaffian(14) alone takes 2.4 s
 # and 112 MB.  hook-oracle stops at n = 6, where it takes about 1.6 s, and
-# 5.1 s at n = 7 (2-core VM, Python 3.11).
+# 5.1 s at n = 7.  theorem1 stops at n = 64: the cut search and its
+# certificate take 0.01 s at n = 16, 0.06 s at 32, 0.44 s at 64 and 2.8 s
+# at 128 (2-core VM, Python 3.11).
 CHECKS = {
     "matchings": (_run_matchings, [1, 2, 3, 4, 5], (1, 5)),
-    "theorem1": (_run_theorem1, [1, 2, 3], (1, 16)),
+    "theorem1": (_run_theorem1, [1, 2, 3], (1, 64)),
     "dihedral-invariance": (_run_dihedral_invariance, [1, 2, 3, 4], (1, 6)),
     "ssym-skew": (_run_ssym_skew, [1, 2, 3], (1, 6)),
     "theorem2": (_run_theorem2, [2, 3], (2, 4)),

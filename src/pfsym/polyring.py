@@ -10,15 +10,17 @@ monomials to nonzero rational coefficients.  A coefficient is stored as
 a Python int when it is integral and as a Fraction only when it is not,
 so the arithmetic on integer polynomials never builds a Fraction; the
 public accessors `terms` and `coefficient` return Fractions either way.
-A sum or product that lands on an integer may stay a Fraction, which is
-harmless: 3 and Fraction(3) are equal, hash alike and print alike.  All
-arithmetic is exact (floats and booleans are refused as coefficients),
-and monomials are canonical, so equality is plain dict equality.
+A product of two polynomials stores its integral coefficients as ints; a
+sum, or a product with a scalar, that lands on an integer may stay a
+Fraction, which is harmless: 3 and Fraction(3) are equal, hash alike and
+print alike.  All arithmetic is exact (floats and booleans are refused
+as coefficients), and monomials are canonical, so equality is plain dict
+equality.
 
-The memoized pfaffian kernel works on a private packed form instead
-(`_packing`, `_Packed`): there a monomial is one int holding its
-exponents in fixed-width fields, and a product of monomials is an
-integer addition.
+Every product of two polynomials, a power and the memoized pfaffian
+kernel run on one private packed form (`_packing`, `_Packed`): there a
+monomial is one int holding its exponents in fixed-width fields, and a
+product of monomials is an integer addition.
 """
 from __future__ import annotations
 
@@ -199,32 +201,23 @@ class Poly:
             if c == 0:
                 return Poly.zero()
             return _raw({mono: coeff * c for mono, coeff in self._terms.items()})
-        out: dict[Monomial, Scalar] = {}
-        get = out.get
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
-                acc = get(mono, 0) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                else:
-                    # c1 * c2 != 0, so a zero sum cancels a stored term
-                    del out[mono]
-        return _raw(out)
+        pack, unpack = _packing((self, other), 2)
+        return unpack(pack(self) * pack(other))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> Poly:
-        if not isinstance(e, int) or e < 0:
+        if type(e) is not int or e < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {e!r}")
-        out = Poly.const(1)
-        base = self
+        # one packing whose fields hold every exponent of self ** e
+        pack, unpack = _packing((self,), e)
+        out, base = 1, pack(self)
         while e:
             if e & 1:
                 out = out * base
             base = base * base if e > 1 else base
             e >>= 1
-        return out
+        return unpack(out)
 
     # -- substitution and evaluation ---------------------------------------
 
@@ -359,36 +352,16 @@ def _sum_terms(terms: dict, other: dict) -> dict:
     return out
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    merged = dict(m1)
-    get = merged.get
-    for v, e in m2:
-        merged[v] = get(v, 0) + e
-    # The variables are distinct, so plain tuple order sorts each family by
-    # index, but it puts every ("a", ...) before every ("x", ...): a monomial
-    # with both families is rotated once to bring the positions first.
-    items = sorted(merged.items())
-    if items[0][0][0] == "a" and items[-1][0][0] == "x":
-        k = 1
-        while items[k][0][0] == "a":
-            k += 1
-        items = items[k:] + items[:k]
-    return tuple(items)
-
-
 class _Packed:
     """A polynomial whose monomials are packed exponent vectors.
 
-    The arithmetic of the memoized pfaffian kernel, over ints: a monomial
-    is the sum of e << (width * slot) over its variables, so a product of
-    monomials is one integer addition (Monagan & Pearce, CASC 2007).  The
-    fields never carry, because `_packing` picks the width from a bound on
-    every exponent the kernel can reach.  Plain ints and Fractions mix in
-    as constants, under key 0.
+    The one polynomial product kernel, behind `Poly.__mul__`, `Poly.__pow__`
+    and the memoized pfaffian kernel: a monomial is the sum of
+    e << (width * slot) over its variables, so a product of monomials is
+    one integer addition (Monagan & Pearce, CASC 2007).  The fields never
+    carry, because `_packing` picks the width from a bound on every
+    exponent the caller can reach.  Plain ints and Fractions mix in as
+    constants, under key 0.
     """
 
     __slots__ = ("terms",)
@@ -436,15 +409,16 @@ def _packing(values: Iterable, factors: int):
 
     The slots are the variables of the Poly values in the canonical order,
     and the field width is the bit length of the largest exponent such a
-    product can reach, `factors` times the largest degree.  `pack` turns a
-    Poly into a `_Packed` and leaves plain scalars alone; `unpack` reads the
-    fields back in slot order, which gives canonical monomials without a
-    sort, and returns a Poly with integral coefficients stored as ints.
+    product can reach, `factors` times the largest exponent of any variable
+    in `values`.  `Poly.__mul__` takes factors = 2, `Poly.__pow__` the
+    exponent and the pfaffian kernel n.  `pack` turns a Poly into a
+    `_Packed` and leaves plain scalars alone; `unpack` reads the fields
+    back in slot order, which gives canonical monomials without a sort,
+    and returns a Poly with integral coefficients stored as ints.
     """
-    polys = [v for v in values if isinstance(v, Poly)]
-    names = sorted({v for p in polys for v in p.variables()}, key=_var_key)
-    degree = max((p.degree() for p in polys if p), default=0)
-    width = max(1, (factors * degree).bit_length())
+    pairs = {pair for value in values if isinstance(value, Poly) for mono in value._terms for pair in mono}
+    names = sorted({v for v, _ in pairs}, key=_var_key)
+    width = max(1, (factors * max((e for _, e in pairs), default=0)).bit_length())
     shift = {v: width * k for k, v in enumerate(names)}
     mask = (1 << width) - 1
 

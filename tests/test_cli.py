@@ -191,14 +191,14 @@ def test_verify_theorem3_runs_the_symbolic_half_at_n4():
     assert out.startswith("PASS theorem3 n=4 [symbolic+rational]")
 
 
-def test_verify_theorem1_reaches_n16_by_the_cut_search(capsys):
+def test_verify_theorem1_reaches_n64_by_the_cut_search(capsys):
     assert run(["verify", "theorem1", "--n", "16"]) == 0
     assert capsys.readouterr().out.startswith("PASS theorem1 n=16 [symmetric-gens/cut-search]")
-    assert run(["verify", "theorem1", "--n", "16", "--format", "json"]) == 0
+    assert run(["verify", "theorem1", "--n", "64", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
-    assert obj["pass"] is True and obj["lhs"] == "order 64"
-    assert run(["verify", "theorem1", "--n", "17"]) == 2
-    assert "1..16" in capsys.readouterr().err
+    assert obj["pass"] is True and obj["lhs"] == "order 256"
+    assert run(["verify", "theorem1", "--n", "65"]) == 2
+    assert "1..64" in capsys.readouterr().err
 
 
 def test_verify_unknown_check_and_bad_range():

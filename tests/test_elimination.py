@@ -15,6 +15,7 @@ array relabeled to put s first, bit for bit, and Decimal entries, another
 ring, give Decimal results equal to the Fraction routes.
 """
 import math
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -137,6 +138,41 @@ def test_permutation_identity_past_the_enumeration_cap(rng):
             rng.shuffle(images)
             moved = pfaffian_direct(_relabel(arr, images))
             assert moved == Permutation(images).sign * pf, two_n
+
+
+# (2a, 2c) block sizes: each block runs the memo, their direct sum elimination
+DIRECT_SUM_BLOCKS = ((6, 8), (8, 8), (8, 10), (10, 10), (12, 12), (12, 10))
+
+
+def direct_sum_mismatches(rng, blocks=DIRECT_SUM_BLOCKS):
+    """The sizes 2n at which pf(M) != sgn(pi) pf A pf C, for M holding the
+    random Fraction arrays A on the labels `la` and C on the labels `lc`,
+    and pi the one-line permutation la + lc.
+
+    1 is in `la` and 2 in `lc`, so the entry (1, 2) of M is 0 and Fraction
+    elimination must swap a pivot.  Each block has 2n <= MEMO_MAX, so the
+    right side runs the memo and shares no kernel with the left.
+    """
+    bad = []
+    for size_a, size_c in blocks:
+        arrays = [_array(size, SKEW, lambda i, j: random_fraction(rng)) for size in (size_a, size_c)]
+        rest = list(range(3, size_a + size_c + 1))
+        rng.shuffle(rest)
+        la = sorted([1, *rest[: size_a - 1]])
+        lc = sorted([2, *rest[size_a - 1 :]])
+        entries = dict.fromkeys(upper_pairs(size_a + size_c), Fraction(0))
+        for block, labels in zip(arrays, (la, lc)):
+            for u, v in upper_pairs(len(labels)):
+                entries[(labels[u - 1], labels[v - 1])] = block.entries[(u, v)]
+        want = Permutation(la + lc).sign * pfaffian_direct(arrays[0]) * pfaffian_direct(arrays[1])
+        if pfaffian_direct(TriangularArray(size_a + size_c, SKEW, entries)) != want:
+            bad.append(size_a + size_c)
+    return bad
+
+
+def test_direct_sum_past_the_memo_limit():
+    assert max(max(blocks) for blocks in DIRECT_SUM_BLOCKS) <= MEMO_MAX < min(map(sum, DIRECT_SUM_BLOCKS))
+    assert direct_sum_mismatches(random.Random(3)) == []
 
 
 def test_cosine_pfaffian_at_large_orders(rng):

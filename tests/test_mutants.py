@@ -3,8 +3,9 @@
 A check that compares a route with itself passes whatever the route
 computes.  Each test here breaks one kernel, runs the check at a small n
 and requires a FAIL line for every n, after a clean run that passes; the
-`_sym_det` mutants must make its oracle comparison find a mismatch, and the
-`_pf_eliminate` mutants Schur's pfaffian at 2n = 20 and 40.
+`_sym_det` mutants must make its oracle comparison find a mismatch, the
+`_pf_eliminate` mutants Schur's pfaffian at 2n = 20 and 40, and the swap
+mutant the exact direct-sum identity.
 """
 import inspect
 import random
@@ -13,7 +14,7 @@ import pytest
 
 from pf_oracles import cofactor_det
 from pfsym import cli, pfaffian, symmetry
-from test_elimination import sym_det_mismatches
+from test_elimination import direct_sum_mismatches, sym_det_mismatches
 from test_schur import schur_mismatches
 
 
@@ -190,3 +191,10 @@ def test_schur_oracle_fails_on_elimination_mutants(monkeypatch, mutate):
     # on these arrays, so the swap mutant shows in the float half only
     monkeypatch.setattr(pfaffian, "_pf_eliminate", mutate(pfaffian._pf_eliminate))
     assert {two_n for two_n, _, _ in schur_mismatches((20, 40))} == {20, 40}
+
+
+def test_direct_sum_fails_on_the_swap_mutant(monkeypatch):
+    # the zero entry (1, 2) of each direct sum makes Fraction elimination
+    # swap; the mutant flips the sign where it swaps an odd number of times
+    monkeypatch.setattr(pfaffian, "_pf_eliminate", _no_swap_sign(pfaffian._pf_eliminate))
+    assert direct_sum_mismatches(random.Random(3)) == [14, 20, 24, 22]

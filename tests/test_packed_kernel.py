@@ -2,13 +2,13 @@
 
 `pfaffian_direct`, both hook expansions and `completed_determinant` run
 Poly arrays through `_subset_pf` on packed exponent vectors, whose field
-width comes from a degree bound.  Each route must equal the matching sum
-or the cofactor expansion on arrays that mix position and generator
-variables, Fraction coefficients, int entries and zero Polys, including
-arrays whose result reaches the bound exactly at a power of two and one
-below it, and no route may multiply Poly monomials.  A determinant, a
-hook expansion along any s and the pfaffian pack each entry once, in the
-skew mode too.
+width comes from a bound on every exponent.  Each route must equal the
+matching sum or the cofactor expansion on arrays that mix position and
+generator variables, Fraction coefficients, int entries and zero Polys,
+including arrays whose result reaches the bound exactly at a power of two
+and one below it.  No route may multiply a Poly or raise one to a power:
+its products run on `_Packed` values.  A determinant, a hook expansion
+along any s and the pfaffian pack each entry once, in the skew mode too.
 """
 import random
 from fractions import Fraction
@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from pf_oracles import cofactor_det, completed_rows, pfaffian_sum
-from pfsym import pfaffian, polyring
+from pfsym import pfaffian
 from pfsym.pfaffian import (
     SKEW,
     SYMMETRIC,
@@ -132,9 +132,10 @@ def test_poly_routes_multiply_no_poly_monomials(monkeypatch):
     small = {p: v for p, v in entries.items() if p[1] <= 5}
 
     def refuse(*args, **kwargs):
-        raise AssertionError("_mono_mul called")
+        raise AssertionError("a Poly was multiplied")
 
-    monkeypatch.setattr(polyring, "_mono_mul", refuse)
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(Poly, name, refuse)
     for mode, hook in ((SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)):
         arr = TriangularArray(6, mode, entries)
         assert pfaffian_direct(arr) == want_pf

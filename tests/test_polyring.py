@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -152,8 +153,26 @@ def test_power():
     assert p ** 0 == Poly.const(1)
     assert p ** 1 == p
     assert p ** 3 == p * p * p
-    with pytest.raises(ValueError):
-        p ** -1
+    for bad in (-1, True, False, 2.0, Fraction(2)):
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+            p ** bad
+
+
+def test_products_and_powers_reach_the_packing_bound():
+    # the packed fields hold 2 * (largest exponent) for a product and
+    # e * (largest exponent) for a power; at a power of two, or one below
+    # it, a carry out of the x1 field would show in x2
+    for e1 in range(1, 9):
+        for e2 in range(1, 9):
+            got = (x(1) ** e1 * x(2)) * (x(1) ** e2 + a(1, 2) ** e2)
+            assert got._terms == {((pos(1), e1 + e2), (pos(2), 1)): 1, ((pos(1), e1), (pos(2), 1), (gen(1, 2), e2)): 1}
+    for top in (1, 2, 3, 4, 5, 8):
+        for e in range(6):
+            want = {
+                tuple(pair for pair in ((pos(1), top * k), (pos(2), e - k)) if pair[1]): math.comb(e, k)
+                for k in range(e + 1)
+            }
+            assert (x(1) ** top + x(2)) ** e == Poly(want), (top, e)
 
 
 def test_text_form():
@@ -249,7 +268,7 @@ def test_product_and_sum_match_the_fraction_reference():
                 mixed += {v[0] for v, _ in mono} == {"x", "a"}
             assert all(type(c) is Fraction for _, c in got.terms())
             assert all(type(got.coefficient(mono)) is Fraction for mono in ref)
-    assert mixed > 100  # the rotation of mixed monomials was exercised
+    assert mixed > 100  # products of monomials that mix positions and generators
 
 
 def test_a_variable_listed_twice_is_one_factor():
@@ -283,6 +302,13 @@ def test_integral_coefficients_are_stored_as_ints(rng):
         p, q = Poly(random_mixed_terms(rng, (1,))), Poly(random_mixed_terms(rng, (1,)))
         for r in (p, q, p + q, p - q, p * q, p * Fraction(4, 2), -p, p ** 2):
             assert all(type(c) is int for c in r._terms.values())
+    # a product of non-integral Fraction Polys that lands on ints stores them as ints
+    product = (x(1) * Fraction(1, 2) - Fraction(1, 3)) * (2 * x(2) + 3)
+    assert product == x(1) * x(2) + Fraction(3, 2) * x(1) - Fraction(2, 3) * x(2) - 1
+    assert type(product._terms[((pos(1), 1), (pos(2), 1))]) is int and type(product._terms[()]) is int
+    assert type(((x(1) * Fraction(1, 2)) * (2 * x(2)))._terms[((pos(1), 1), (pos(2), 1))]) is int
+    square = (x(1) * Fraction(1, 2) + 1) ** 2
+    assert square == x(1) ** 2 * Fraction(1, 4) + x(1) + 1 and type(square._terms[((pos(1), 1),)]) is int
     assert type(Poly({((pos(1), 1),): Fraction(6, 3)})._terms[((pos(1), 1),)]) is int
     assert type(Poly.from_json_obj([{"coeff": "4/2", "vars": []}])._terms[()]) is int
     assert type(Poly.const(Fraction(-3))._terms[()]) is int
