@@ -3,8 +3,9 @@ float pfaffian by the matching sum.
 
 Both walk the perfect matchings of `matchings._matchings`, the package's
 one matching recursion, on 0-based indices.  `classify_pf_action`
-applies the definition of the action to every matching.  It is on no
-search path: `pfaffian_symmetry_group` uses the cut criterion for
+applies the definition of the action to every matching, and reads the
+sign of each image matching from the table of that recursion.  It is on
+no search path: `pfaffian_symmetry_group` uses the cut criterion for
 symmetric generators and the sign character for skew ones, and the test
 suite checks both against a scan of all of S_m with this classifier.
 `pf_double` serves no evaluation (`pfaffian_direct` eliminates) and
@@ -22,9 +23,9 @@ TABLE_MAX = 12  # largest size the classifier accepts
 
 
 @lru_cache(maxsize=None)
-def _pairs_table(m: int) -> tuple:
-    """All matchings of range(m) as ((i, j), ...) pairs with signs, lexicographic."""
-    return tuple(_matchings(tuple(range(m))))
+def _pairs_table(m: int) -> dict:
+    """Every matching of range(m) as {((i, j), ...): sign}, in lexicographic order."""
+    return dict(_matchings(tuple(range(m))))
 
 
 def pf_double(two_n: int, packed) -> float:
@@ -52,33 +53,23 @@ def pf_double(two_n: int, packed) -> float:
     return total
 
 
-def _flat_sign(flat: list[int]) -> int:
-    inv = 0
-    n = len(flat)
-    for i in range(n):
-        fi = flat[i]
-        for j in range(i + 1, n):
-            if fi > flat[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def classify_pf_action(two_n: int, p: Permutation, skew: bool) -> int:
     """Effect of acting with p on the generic pfaffian of order two_n.
 
     The action relabels indices through p^{-1}.  Each matching's monomial
     is relabeled, normalized (with a sign per swapped pair when `skew`)
     and compared against the pfaffian's own coefficient at the image
-    matching.  Returns +1 if every coefficient matches, -1 if every
-    coefficient is negated, 0 otherwise.
+    matching, its sign in `_pairs_table`.  Returns +1 if every coefficient
+    matches, -1 if every coefficient is negated, 0 otherwise.
     """
     if two_n < 2 or two_n % 2 != 0 or two_n > TABLE_MAX:
         raise ValueError(f"two_n must be even and in 2..{TABLE_MAX}, got {two_n}")
     if p.size != two_n:
         raise ValueError(f"permutation of size {p.size} cannot act on 1..{two_n}")
     q = [v - 1 for v in p.inverse().images]
+    table = _pairs_table(two_n)
     target = 0
-    for pairs, sgn in _pairs_table(two_n):
+    for pairs, sgn in table.items():
         flip = 1
         image = []
         for i, j in pairs:
@@ -89,8 +80,7 @@ def classify_pf_action(two_n: int, p: Permutation, skew: bool) -> int:
                     flip = -flip
             image.append((u, v))
         image.sort()
-        flat = [k for uv in image for k in uv]
-        t = sgn * flip * _flat_sign(flat)
+        t = sgn * flip * table[tuple(image)]
         if target == 0:
             target = t
         elif t != target:

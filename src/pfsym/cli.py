@@ -32,7 +32,6 @@ from .pfaffian import (
     SYMMETRIC,
     TriangularArray,
     _bareiss_det,
-    _completed_rows,
     completed_determinant,
     generic_pfaffian,
     hook_expand_skew,
@@ -341,7 +340,7 @@ def _run_hook_oracle(ns, rng, tol):
 
 
 def _run_skew_det(ns, rng, tol):
-    """`_bareiss_det` on the completed rows against `_pf_eliminate` squared,
+    """`_bareiss_det` on the rows of `lookup` against `_pf_eliminate` squared,
     not the pf^2 of `determinant`, on random integral skew arrays.
     """
     for n in ns:
@@ -350,7 +349,8 @@ def _run_skew_det(ns, rng, tol):
         ok = True
         for _ in range(50):
             arr = TriangularArray(two_n, SKEW, {p: Fraction(rng.randint(-9, 9)) for p in pairs})
-            det = _bareiss_det(_completed_rows(two_n, SKEW, arr.entries))
+            rows = [[Fraction(arr.lookup(i, j)) for j in range(1, two_n + 1)] for i in range(1, two_n + 1)]
+            det = _bareiss_det(rows)
             ok &= det == pfaffian._pf_eliminate(arr.entries, tuple(range(1, two_n + 1)), Fraction) ** 2
         yield n, "exact,50 arrays", ok, 0.0, "determinant", "pfaffian squared"
 
@@ -358,22 +358,24 @@ def _run_skew_det(ns, rng, tol):
 # name -> (runner, default n list, the n range (lo, hi) the runner handles).
 # A runner takes (ns, rng, tol) and yields rows (n, mode, passed, residual,
 # lhs, rhs), which `_cmd_verify` makes reports named by the key and seeded
-# by --seed.  hi None is unbounded, and checks that take no n have no range.
+# by --seed.  Checks that take no n have no range.
 # A runner is passed only the n of its range; naming a check with none of
 # them is an error.  dihedral-invariance and ssym-skew stop at n = 6, where
 # each takes about 0.3 s; at n = 7, generic_pfaffian(14) alone takes 2.4 s
 # and 112 MB.  hook-oracle stops at n = 6, where it takes about 1.6 s, and
 # 5.1 s at n = 7.  theorem1 stops at n = 64: the cut search and its
 # certificate take 0.01 s at n = 16, 0.06 s at 32, 0.44 s at 64 and 2.8 s
-# at 128 (2-core VM, Python 3.11).
+# at 128.  theorem3 stops at n = 64: 0.14 s at n = 32, 1.2-1.4 s at 64 and
+# 4.5 s at 96.  theorem4 stops at n = 48: 0.4 s at n = 32, 1.1-1.3 s at 48
+# and 2.9-3.2 s at 64 (2-core VM, Python 3.11).
 CHECKS = {
     "matchings": (_run_matchings, [1, 2, 3, 4, 5], (1, 5)),
     "theorem1": (_run_theorem1, [1, 2, 3], (1, 64)),
     "dihedral-invariance": (_run_dihedral_invariance, [1, 2, 3, 4], (1, 6)),
     "ssym-skew": (_run_ssym_skew, [1, 2, 3], (1, 6)),
     "theorem2": (_run_theorem2, [2, 3], (2, 4)),
-    "theorem3": (_run_theorem3, [1, 2, 3, 4, 5], (1, None)),
-    "theorem4": (_run_theorem4, [1, 2, 3, 4, 5, 6, 7], (1, None)),
+    "theorem3": (_run_theorem3, [1, 2, 3, 4, 5], (1, 64)),
+    "theorem4": (_run_theorem4, [1, 2, 3, 4, 5, 6, 7], (1, 48)),
     "g-symmetry": (_run_g_symmetry, [2, 3, 4], (2, 4)),
     "trig1": (_run_trig1, [None], None),
     "trig2": (_run_trig2, [None], None),
@@ -402,15 +404,14 @@ def _supports(name: str, n) -> bool:
     if supported is None:
         return True
     lo, hi = supported
-    return lo <= n and (hi is None or n <= hi)
+    return lo <= n <= hi
 
 
 def _require_runnable_n(name: str, requested: list[int]) -> None:
     """Refuse a check named on the command line that would run no n at all."""
     if not any(_supports(name, n) for n in requested):
         lo, hi = CHECKS[name][2]
-        span = f"{lo}..{hi}" if hi is not None else f">= {lo}"
-        raise ValueError(f"check {name!r} supports n {span}, none requested")
+        raise ValueError(f"check {name!r} supports n {lo}..{hi}, none requested")
 
 
 def _cmd_verify(args) -> int:

@@ -74,10 +74,18 @@ class DifferenceKernel:
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
     def value(self, xv, yv):
-        """phi(xv - yv) by Horner's rule, in the scalar domain of the positions."""
+        """phi(xv - yv) by Horner's rule, in the scalar domain of the positions.
+
+        Horner starts at the leading coefficient, a scalar, so its first
+        product takes the scalar arm of `Poly.__mul__`: an entry of degree k
+        in Poly positions costs k - 1 packed products.
+        """
         d = xv - yv
-        acc = Poly.zero() if isinstance(d, Poly) else 0  # a Poly even for the zero kernel
-        for c in reversed(self.coeffs):
+        if len(self.coeffs) > 1:
+            *rest, acc = self.coeffs
+        else:  # a constant or zero kernel starts at zero, a Poly for Poly positions
+            rest, acc = self.coeffs, Poly.zero() if isinstance(d, Poly) else 0
+        for c in reversed(rest):
             acc = acc * d + c
         return acc
 

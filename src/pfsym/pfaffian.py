@@ -108,8 +108,6 @@ class TriangularArray:
     @classmethod
     def from_json_obj(cls, obj: dict) -> TriangularArray:
         size, mode, entries = parse_square_json(obj)
-        if size % 2 != 0:
-            raise ValueError(f"two_n must be even, got {size}")
         return cls(size, mode, entries)
 
     def __eq__(self, other: object) -> bool:
@@ -467,26 +465,19 @@ def _subset_pf(entries: Mapping[tuple[int, int], object], live: tuple[int, ...],
 
 def hook_expand_symmetric(arr: TriangularArray, s: int):
     """Expansion along hook s for symmetric completion: no Heaviside sign."""
-    return _hook_rule(arr, s, SYMMETRIC)
+    return _hook_expand(arr, s, SYMMETRIC)
 
 
 def hook_expand_skew(arr: TriangularArray, s: int):
     """Expansion along hook s for skew completion, with the Heaviside sign."""
-    return _hook_rule(arr, s, SKEW)
+    return _hook_expand(arr, s, SKEW)
 
 
-def _hook_rule(arr: TriangularArray, s: int, mode: str):
-    """The hook rule of `mode` along s, by `_hook_expand`, once the array's mode and s are checked."""
-    if arr.mode != mode:
-        raise ValueError(f"{mode} hook expansion needs a {mode} array, got mode {arr.mode!r}")
-    if not 1 <= s <= arr.two_n:
-        raise IndexError(f"hook {s} outside 1..{arr.two_n}")
-    return _hook_expand(arr, s, _domain(arr.entries))
-
-
-def _hook_expand(arr: TriangularArray, s: int, domain):
-    """Both hook rules along s: (-1)^(s-1) times the pfaffian of the array
-    relabeled on live = (s, 1..s-1, s+1..2n), by `_pfaffian` in `domain`.
+def _hook_expand(arr: TriangularArray, s: int, mode: str):
+    """The hook rule of `mode` along s: (-1)^(s-1) times the pfaffian of
+    the array relabeled on live = (s, 1..s-1, s+1..2n), by `_pfaffian` in
+    the domain of the entries.  An array of another mode is a ValueError,
+    and s outside 1..2n an IndexError.
 
     The rule for s is the sum over j != s of (-1)^(s+j+1+h) a(s,j)
     pf(A without s, j): h = 0 and a(s,j) = a(j,s) for j < s in a symmetric
@@ -500,8 +491,12 @@ def _hook_expand(arr: TriangularArray, s: int, domain):
     the ones `live` puts below the diagonal.  A float result that overflowed
     is a ValueError.
     """
+    if arr.mode != mode:
+        raise ValueError(f"{mode} hook expansion needs a {mode} array, got mode {arr.mode!r}")
+    if not 1 <= s <= arr.two_n:
+        raise IndexError(f"hook {s} outside 1..{arr.two_n}")
     live = (s, *range(1, s), *range(s + 1, arr.two_n + 1))
-    value = _pfaffian(arr.entries, live, domain, [(s, k) for k in range(1, s)])
+    value = _pfaffian(arr.entries, live, _domain(arr.entries), [(s, k) for k in range(1, s)])
     return _finite(-value if s % 2 == 0 else value, "hook expansion")
 
 
@@ -509,9 +504,8 @@ def _hook_expand(arr: TriangularArray, s: int, domain):
 
 
 def determinant(arr: TriangularArray):
-    """Exact determinant of the mode-completed square matrix."""
-    if arr.mode == PLAIN:
-        raise ValueError("plain arrays have no completion rule, so no determinant")
+    """Exact determinant of the mode-completed square matrix, by
+    `completed_determinant`, which refuses a plain array."""
     return completed_determinant(arr.two_n, arr.mode, arr.entries)
 
 
@@ -570,16 +564,6 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     negated = [(j, size + i) for i, j in entries] if mode == SKEW else ()
     value = _expand(domain, embedded, tuple(range(1, 2 * size + 1)), negated)
     return -value if size * (size - 1) // 2 % 2 else value
-
-
-def _completed_rows(size: int, mode: str, entries: Mapping[tuple[int, int], object]) -> list[list[Fraction]]:
-    """The rows of the completion, zero diagonal, as Fractions."""
-    flip = -1 if mode == SKEW else 1
-    exact = {p: Fraction(v) for p, v in entries.items()}
-    return [
-        [Fraction(0) if i == j else exact[(i, j)] if i < j else flip * exact[(j, i)] for j in range(1, size + 1)]
-        for i in range(1, size + 1)
-    ]
 
 
 def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import random_array, random_int_array
+from pf_oracles import completed_rows
 from pfsym.matchings import enumerate_pfaff, matching_count
 from pfsym.models import (
     COSINE,
@@ -25,7 +26,6 @@ from pfsym.pfaffian import (
     SYMMETRIC,
     TriangularArray,
     _bareiss_det,
-    _completed_rows,
     _pf_eliminate,
     completed_determinant,
     determinant,
@@ -106,7 +106,7 @@ def test_criterion_04_skew_determinant_identity():
             for _ in range(50):
                 arr = random_int_array(rng, two_n, SKEW)
                 # Bareiss on the completed rows is independent of the skew route
-                rows = _completed_rows(two_n, SKEW, arr.entries)
+                rows = [[Fraction(v) for v in row] for row in completed_rows(two_n, SKEW, arr.entries)]
                 assert _bareiss_det(rows) == pfaffian_direct(arr) ** 2 == determinant(arr)
 
 

@@ -214,12 +214,14 @@ def test_verify_named_check_without_runnable_n_is_an_error():
         ("hook-oracle", "7", "2..6"),
         ("skew-det", "4", "1..3"),
         ("theorem2", "1", "2..4"),
+        ("theorem3", "65", "1..64"),
+        ("theorem4", "49", "1..48"),
     ):
         code, out, err = invoke("verify", check, "--n", n)
         assert code == 2 and out == "", check
         assert check in err and span in err, err
     code, out, err = invoke("verify", "theorem4", "--n", "0")
-    assert code == 2 and out == "" and "theorem4" in err and ">= 1" in err
+    assert code == 2 and out == "" and "theorem4" in err and "1..48" in err
     # one runnable n is enough
     code, out, _ = invoke("verify", "skew-det", "--n", "3..4")
     assert code == 0 and out.startswith("PASS skew-det n=3")

@@ -18,6 +18,7 @@ from pfsym.models import (
     verify_trig_lemma2,
 )
 from pfsym.pfaffian import SYMMETRIC, completed_determinant, pfaffian_direct, upper_pairs
+from pfsym import polyring
 from pfsym.polyring import Poly, pos, x
 
 
@@ -27,6 +28,22 @@ def test_kernel_array_symbolic_entries():
     assert arr.entries[(1, 3)] == (x(1) - x(3)) ** 2
     zero = kernel_array(DifferenceKernel(()), position_polys(2))
     assert zero.entries[(1, 2)] == Poly.zero() and isinstance(zero.entries[(1, 2)], Poly)
+    const = kernel_array(DifferenceKernel((3,)), position_polys(2))
+    assert const.entries[(1, 2)] == Poly.const(3) and isinstance(const.entries[(1, 2)], Poly)
+
+
+def test_square_diff_entry_costs_one_packed_product(monkeypatch):
+    calls = []
+    real = polyring._packing
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyring, "_packing", counted)
+    arr = kernel_array(SQUARE_DIFF, position_polys(4))
+    assert len(calls) == 6
+    assert all(arr.entries[(i, j)] == (x(i) - x(j)) * (x(i) - x(j)) for i, j in upper_pairs(4))
 
 
 def test_kernel_array_integer_entries():

@@ -177,7 +177,7 @@ def test_determinant_odd_size_rational():
 
 def test_determinant_plain_rejected():
     arr = TriangularArray(2, PLAIN, {(1, 2): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mode must be symmetric or skew, got 'plain'$"):
         determinant(arr)
 
 
@@ -414,3 +414,7 @@ def test_array_json_diagnostics():
         TriangularArray.from_json_obj(
             {"two_n": 2, "mode": "skew", "entries": {"1,2": [1, 2, 3]}}
         )
+    odd = {f"{i},{j}": "1" for i, j in upper_pairs(3)}
+    for key in ("size", "two_n"):
+        with pytest.raises(ValueError, match=r"^two_n must be even and >= 0, got 3$"):
+            TriangularArray.from_json_obj({key: 3, "mode": "skew", "entries": odd})
