@@ -246,9 +246,9 @@ def _run_theorem2(ns, rng, tol):
 
 
 def _run_theorem3(ns, rng, tol):
-    """`pfaffian_direct` at the integer points (the integer memo up to
-    2n = MEMO_MAX, elimination above) against the closed form
-    (-2)^(n-1) (2n-1), and for n <= 4 the Poly memo against -(-2)^(n-1) g.
+    """`pfaffian_direct` at the integer points (fraction-free elimination,
+    `_pf_fraction_free`) against the closed form (-2)^(n-1) (2n-1), and
+    for n <= 4 the Poly memo against -(-2)^(n-1) g.
     """
     for n in ns:
         r = verify_theorem3(n)
@@ -322,9 +322,10 @@ def _run_det_examples(ns, rng, tol):
 
 
 def _run_hook_oracle(ns, rng, tol):
-    """Every hook expansion against `_pf_eliminate` of the array, on random
-    Fraction arrays.  Up to 2n = MEMO_MAX, which holds every n the check
-    takes, the hooks run the memo (`_subset_pf`), so the routes share no kernel.
+    """Every hook expansion against `_pf_eliminate` of the array in
+    Fractions, on random Fraction arrays.  The hooks run fraction-free
+    elimination on integers (`_pf_fraction_free`), so the routes share no
+    kernel.
     """
     for n in ns:
         two_n = 2 * n
@@ -340,8 +341,9 @@ def _run_hook_oracle(ns, rng, tol):
 
 
 def _run_skew_det(ns, rng, tol):
-    """`_bareiss_det` on the rows of `lookup` against `_pf_eliminate` squared,
-    not the pf^2 of `determinant`, on random integral skew arrays.
+    """`_bareiss_det` on the rows of `lookup`, Bareiss elimination on
+    integers, against `_pf_eliminate` squared in Fractions, not the pf^2 of
+    `determinant`, on random integral skew arrays.
     """
     for n in ns:
         two_n = 2 * n
@@ -362,26 +364,28 @@ def _run_skew_det(ns, rng, tol):
 # A runner is passed only the n of its range; naming a check with none of
 # them is an error.  dihedral-invariance and ssym-skew stop at n = 6, where
 # each takes about 0.3 s; at n = 7, generic_pfaffian(14) alone takes 2.4 s
-# and 112 MB.  hook-oracle stops at n = 6, where it takes about 1.6 s, and
-# 5.1 s at n = 7.  theorem1 stops at n = 64: the cut search and its
-# certificate take 0.01 s at n = 16, 0.06 s at 32, 0.44 s at 64 and 2.8 s
-# at 128.  theorem3 stops at n = 64: 0.14 s at n = 32, 1.2-1.4 s at 64 and
-# 4.5 s at 96.  theorem4 stops at n = 48: 0.4 s at n = 32, 1.1-1.3 s at 48
-# and 2.9-3.2 s at 64 (2-core VM, Python 3.11).
+# and 112 MB.  Each other upper bound is the last measured n under 2 s.
+# hook-oracle stops at n = 9: 0.46 s at n = 6, 0.88 s at 8, 1.1-1.6 s at 9
+# and 1.6-2.2 s at 10.  skew-det stops at n = 15: 0.30 s at n = 8, 0.9-1.3 s
+# at 14, 1.7 s at 15 and 1.7-2.1 s at 16.  theorem1 stops at n = 64: the cut
+# search and its certificate take 0.01 s at n = 16, 0.06 s at 32, 0.44 s at
+# 64 and 2.8 s at 128.  theorem3 stops at n = 128: 0.21 s at n = 64,
+# 0.9-1.3 s at 128 and 1.3-2.1 s at 144.  theorem4 stops at n = 48: 0.4 s at
+# n = 32, 1.1-1.3 s at 48 and 2.9-3.2 s at 64 (2-core VM, Python 3.11).
 CHECKS = {
     "matchings": (_run_matchings, [1, 2, 3, 4, 5], (1, 5)),
     "theorem1": (_run_theorem1, [1, 2, 3], (1, 64)),
     "dihedral-invariance": (_run_dihedral_invariance, [1, 2, 3, 4], (1, 6)),
     "ssym-skew": (_run_ssym_skew, [1, 2, 3], (1, 6)),
     "theorem2": (_run_theorem2, [2, 3], (2, 4)),
-    "theorem3": (_run_theorem3, [1, 2, 3, 4, 5], (1, 64)),
+    "theorem3": (_run_theorem3, [1, 2, 3, 4, 5], (1, 128)),
     "theorem4": (_run_theorem4, [1, 2, 3, 4, 5, 6, 7], (1, 48)),
     "g-symmetry": (_run_g_symmetry, [2, 3, 4], (2, 4)),
     "trig1": (_run_trig1, [None], None),
     "trig2": (_run_trig2, [None], None),
     "det-examples": (_run_det_examples, [None], None),
-    "hook-oracle": (_run_hook_oracle, [2, 3, 4], (2, 6)),
-    "skew-det": (_run_skew_det, [1, 2, 3], (1, 3)),
+    "hook-oracle": (_run_hook_oracle, [2, 3, 4], (2, 9)),
+    "skew-det": (_run_skew_det, [1, 2, 3], (1, 15)),
 }
 
 

@@ -10,22 +10,22 @@ completion.  The hook expansions and the determinant do use the mode.
 Scalars are pluggable: ints, Fractions, floats, Poly or any other ring.
 Each route reads the scalar domain once (`_domain`) and returns its
 result in it; a determinant of ints is a Fraction.  `_pfaffian` alone
-picks a pfaffian algorithm, from the domain and 2n: floats take pivoted
-skew elimination in O(n^3) operations (`_pf_eliminate`), ints and
-Fractions the memoized expansion `_subset_pf` on integers up to
-2n = MEMO_MAX and elimination in Fractions above it, Poly and other rings
-the memoized expansion up to 2n = EXPAND_CAP.  `pfaffian_direct`, both
-hook rules (`_hook_expand`: hook s is (-1)^(s-1) times the pfaffian of the
-array relabeled to put s first) and the skew determinant (pf^2, 0 at odd
-size) call it.  Symmetric determinants of numbers come from symmetric
-elimination with 1x1 and 2x2 pivots (`_sym_det`), in Fractions; Bareiss
-elimination (`_bareiss_det`) stays as the independent route of `verify
-skew-det`.  Poly and other-ring determinants expand the skew embedding
-[[0, M], [-M^T, 0]] by `_expand`, which packs Poly entries once per call,
-at any size.  A float result that overflows, or a float entry that is
-+-inf or nan, is a ValueError that names it, never +-inf or nan, which
-JSON cannot hold.  No route enumerates matchings; the definitional
-oracles live with the tests (`tests/pf_oracles.py`).
+picks a pfaffian algorithm, from the domain: floats take pivoted skew
+elimination in O(n^3) operations (`_pf_eliminate`), ints and Fractions
+the same elimination on integers at every 2n (`_pf_fraction_free`: each
+row scaled by the lcm of its denominators, each update divided exactly
+by the pivot before), Poly and other rings the memoized expansion
+`_subset_pf` up to 2n = EXPAND_CAP.  `pfaffian_direct`, both hook rules
+(`_hook_expand`: hook s is (-1)^(s-1) times the pfaffian of the array
+relabeled to put s first) and the skew determinant (pf^2, 0 at odd size)
+call it.  Symmetric determinants of numbers come from Bareiss
+elimination on integers (`_bareiss_det`), which is also one side of
+`verify skew-det`.  Poly and other-ring determinants expand the skew
+embedding [[0, M], [-M^T, 0]] by `_expand`, which packs Poly entries
+once per call, at any size.  A float result that overflows, or a float
+entry that is +-inf or nan, is a ValueError that names it, never +-inf
+or nan, which JSON cannot hold.  No route enumerates matchings; the
+definitional oracles live with the tests (`tests/pf_oracles.py`).
 """
 from __future__ import annotations
 
@@ -207,7 +207,7 @@ def _domain(entries: Mapping[tuple[int, int], object]):
 
 
 def _expand(domain, entries: Mapping[tuple[int, int], object], live: tuple[int, ...], negated=()):
-    """`_subset_pf(entries, live)` in `domain` (int, Poly or another ring),
+    """`_subset_pf(entries, live)` in `domain` (Poly or another ring),
     where a position (i, j) in `negated` holds -entries[(i, j)], or
     -entries[(j, i)] for i > j.  Poly entries are packed
     (`polyring._packing`), so a product of monomials is one integer
@@ -252,14 +252,6 @@ def _refuse_non_finite(entries: Mapping[tuple[int, int], object]) -> None:
 # Determinants take no cap.
 EXPAND_CAP = 16
 
-# Largest 2n at which an int or Fraction pfaffian runs the memo on integers;
-# above it, elimination in Fractions is faster.  Per pfaffian of a random
-# array with one-digit denominators (2-core VM, Python 3.11), memo against
-# elimination: 0.42 against 0.95 ms at 2n = 10, 1.4 against 1.7 ms at 12,
-# 3.0 against 1.6 ms at 14.  One-digit ints and six-digit denominators
-# cross between 12 and 14 too.
-MEMO_MAX = 12
-
 
 # -- pfaffians ---------------------------------------------------------------
 
@@ -285,7 +277,7 @@ def _pfaffian(entries: Mapping[tuple[int, int], object], live: tuple[int, ...], 
     `negated` lists the pairs (i, j), i > j, that `live` puts in that order,
     where the entry is -a(j, i); there are none exactly when `live` is 1..2n
     in order.  The one place that picks a pfaffian algorithm, from the
-    domain and 2n; see the module docstring.  A float result that is zero
+    domain; see the module docstring.  A float result that is zero
     or not finite has the entries scanned for a float +-inf or nan, which is
     a ValueError naming it: elimination that meets one ends in such a result.
     """
@@ -296,15 +288,12 @@ def _pfaffian(entries: Mapping[tuple[int, int], object], live: tuple[int, ...], 
             _refuse_non_finite(entries)
         return value
     if domain in (int, Fraction):
-        if two_n > MEMO_MAX:
-            value = _pf_eliminate(entries, live, Fraction, negated)
-            return int(value) if domain is int else value
         # pf(DAD) = det D pf A, D = diag(d_i) with d_i the lcm of the denominators of row i
         d = [1] * (two_n + 1)
         for (i, _), v in entries.items():
             d[i] = math.lcm(d[i], v.denominator)
         scaled = {(i, j): v.numerator * (d[i] * d[j] // v.denominator) for (i, j), v in entries.items()}
-        total = _expand(int, scaled, live, negated)
+        total = _pf_fraction_free(scaled, live, negated)
         return total if domain is int else Fraction(total, math.prod(d))
     if two_n > EXPAND_CAP:
         raise ValueError(f"two_n={two_n} exceeds the memoized-expansion cap {EXPAND_CAP}")
@@ -323,7 +312,8 @@ def _pf_eliminate(entries: Mapping[tuple[int, int], object], live: tuple[int, ..
     takes the Schur complement update a[i][j] += (v[i]*u[j] - u[i]*v[j]) / p.
     The update is skew, so it is computed above the diagonal and mirrored.
     Floats pivot on the entry of largest magnitude, Fractions on the first
-    nonzero entry.
+    nonzero entry.  `_pfaffian` runs it on floats; in Fractions it is the
+    independent route of `verify hook-oracle` and `skew-det` and the tests.
     """
     size = len(live)
     a = [[0] * size for _ in range(size)]
@@ -364,64 +354,50 @@ def _pf_eliminate(entries: Mapping[tuple[int, int], object], live: tuple[int, ..
     return result
 
 
-def _sym_det(size: int, entries: Mapping[tuple[int, int], object]) -> Fraction:
-    """Determinant of the symmetric completion, zero diagonal, by symmetric
-    pivoted elimination in Fractions.
+def _pf_fraction_free(entries: Mapping[tuple[int, int], int], live: tuple[int, ...], negated=()) -> int:
+    """Pfaffian, an int, of the skew completion of the int upper `entries`,
+    relabeled on `live` and `negated` as in `_pfaffian`, by fraction-free
+    pivoted skew elimination.
 
-    The exact form of Bunch & Kaufman, Math. Comp. 31 (1977), written as
-    `_pf_eliminate`.  A symmetric swap of two indices (rows and columns
-    together) leaves the determinant unchanged.  If some diagonal entry is
-    nonzero, the first one is swapped to the front and is a 1x1 pivot d:
-    the result takes the factor d, and the trailing block the update
-    a[i][j] -= a[0][i] * (a[0][j] / d).  Otherwise the first nonzero b of row
-    0 is swapped into position 1, and [[0, b], [b, 0]] is a 2x2 pivot: the
-    factor is -b^2, and with x = row 0 / b and y = row 1 the update is
-    a[i][j] -= x[i]*y[j] + y[i]*x[j], `_pf_eliminate`'s update with the sign
-    of one term changed.  A zero row 0 under a zero diagonal gives 0.  Each
-    update is computed on and above the diagonal and mirrored.
+    As in `_pf_eliminate`, the first nonzero entry of row 0 is swapped into
+    position 1 (a swap flips the sign) and p = a[0][1]; with u, v the rows
+    0 and 1, the trailing block becomes (p*a[i][j] - u[i]*v[j] + v[i]*u[j])
+    // prev, prev the pivot before (1 at first), computed above the
+    diagonal and mirrored.  Its entry (i, j) is the pfaffian on the
+    eliminated indices and i, j, so the division is exact (Knuth,
+    "Overlapping Pfaffians", Electron. J. Combin. 3(2), 1996; Bareiss,
+    Math. Comp. 22, 1968), and the last pivot is the pfaffian.
     """
+    if negated:
+        entries = entries | {(i, j): -entries[(j, i)] for i, j in negated}
+    size = len(live)
     a = [[0] * size for _ in range(size)]
-    for (i, j), v in entries.items():
-        a[i - 1][j - 1] = a[j - 1][i - 1] = Fraction(v)
-    result = Fraction(1)
+    for u, i in enumerate(live):
+        row = a[u]
+        for v in range(u + 1, size):
+            row[v] = w = entries[(i, live[v])]
+            a[v][u] = -w
+    sign = prev = 1
     while a:
-        n = len(a)
-        k = next((i for i in range(n) if a[i][i] != 0), None)
-        if k is not None:
-            if k:
-                a[0], a[k] = a[k], a[0]
-                for r in a:
-                    r[0], r[k] = r[k], r[0]
-            d = a[0][0]
-            result *= d
-            u = a[0][1:]
-            x = [w / d for w in u]
-            m = n - 1
-            b = [[0] * m for _ in range(m)]
-            for i, (ui, r) in enumerate(zip(u, a[1:])):
-                bi = b[i]
-                for j in range(i, m):
-                    bi[j] = b[j][i] = r[j + 1] - ui * x[j]
-        else:
-            k = next((j for j in range(1, n) if a[0][j] != 0), None)
-            if k is None:
-                return Fraction(0)
-            if k != 1:
-                a[1], a[k] = a[k], a[1]
-                for r in a:
-                    r[1], r[k] = r[k], r[1]
-            p = a[0][1]
-            result *= -p * p
-            x = [w / p for w in a[0][2:]]
-            y = a[1][2:]
-            m = n - 2
-            b = [[0] * m for _ in range(m)]
-            for i, (xi, yi, r) in enumerate(zip(x, y, a[2:])):
-                bi = b[i]
-                for j in range(i, m):
-                    bi[j] = b[j][i] = r[j + 2] - xi * y[j] - yi * x[j]
-        a = b
-    return result
+        row = a[0]
+        piv = 1 if row[1] else next((j for j in range(2, len(row)) if row[j]), 0)
+        if not piv:
+            return 0
+        if piv != 1:
+            a[1], a[piv] = a[piv], a[1]
+            for r in a:
+                r[1], r[piv] = r[piv], r[1]
+            sign = -sign
+        p, u, v = row[1], row[2:], a[1][2:]
+        m = len(u)
+        b = [[0] * m for _ in range(m)]
+        for i, (ui, vi, r) in enumerate(zip(u, v, a[2:])):
+            bi = b[i]
+            for j in range(i + 1, m):
+                bi[j] = w = (p * r[j + 2] - ui * v[j] + vi * u[j]) // prev
+                b[j][i] = -w
+        a, prev = b, p
+    return sign * prev
 
 
 def generic_pfaffian(two_n: int) -> Poly:
@@ -519,8 +495,8 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     and the result type from the entries.  Ints and Fractions give a
     Fraction, and floats the float of that exact value: a skew matrix has
     det = pf^2 at even size (its Fraction pfaffian by `_pfaffian`) and 0 at odd
-    size, and a symmetric one goes through `_sym_det`, symmetric
-    elimination in Fractions with 1x1 and 2x2 pivots.  A float entry that
+    size, and a symmetric one goes through `_bareiss_det`, Bareiss
+    elimination on its rows, each scaled to ints.  A float entry that
     is +-inf or nan is a ValueError naming it, and a value that does not
     fit a float is a ValueError naming the overflow, never +-inf, which
     JSON cannot hold.  Poly entries give a Poly, and any other scalar its
@@ -547,7 +523,10 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
             # a skew matrix of odd size is singular, and of even size has det = pf^2
             exact = _pfaffian(entries, tuple(range(1, size + 1)), Fraction) ** 2 if size % 2 == 0 else Fraction(0)
         else:
-            exact = _sym_det(size, entries)
+            rows = [[0] * size for _ in range(size)]
+            for (i, j), v in entries.items():
+                rows[i - 1][j - 1] = rows[j - 1][i - 1] = v
+            exact = _bareiss_det(rows)
         if domain is not float:
             return exact
         try:
@@ -566,24 +545,34 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     return -value if size * (size - 1) // 2 % 2 else value
 
 
-def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
-    """Fraction-free Bareiss elimination with row pivoting."""
-    n = len(rows)
-    sign = 1
-    prev = Fraction(1)
+def _bareiss_det(rows: list[list]) -> Fraction:
+    """Determinant of the square matrix `rows` of ints or Fractions, by
+    Bareiss elimination with row pivoting (Math. Comp. 22, 1968) on ints.
+
+    Row i is scaled by the lcm d_i of its denominators: det(diag(d) M) =
+    prod d_i det M.  Step k swaps a row with a nonzero entry in column k
+    up to row k (a swap flips the sign) and updates the rows below to
+    (a[i][j]*a[k][k] - a[i][k]*a[k][j]) // prev, prev the pivot before (1 at
+    first): each entry is a minor of the scaled matrix, so this is exact.
+    """
+    a, scale = [], 1
+    for row in rows:
+        d = math.lcm(*(v.denominator for v in row))
+        a.append([v.numerator * (d // v.denominator) for v in row])
+        scale *= d
+    n = len(a)
+    sign = prev = 1
     for k in range(n - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, n):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
+        if not a[k][k]:
+            r = next((r for r in range(k + 1, n) if a[r][k]), 0)
+            if not r:
                 return Fraction(0)
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        top, pivot = a[k], a[k][k]
+        for row in a[k + 1 :]:
+            f = row[k]
             for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) / prev
-            rows[i][k] = Fraction(0)
+                row[j] = (row[j] * pivot - f * top[j]) // prev
         prev = pivot
-    return sign * rows[-1][-1]
+    return Fraction(sign * a[-1][-1], scale)

@@ -3,16 +3,19 @@
 Exact elimination and the exact routes must equal the matching sum
 `pfaffian_sum` bit for bit, the float route must agree with the
 matching-sum double kernel, and both must satisfy the pfaffian's
-identities at sizes past the enumeration cap.  Each domain and size runs
-one kernel: floats elimination, ints and Fractions the memo up to
-MEMO_MAX and elimination above it, Poly arrays the memo, which must equal
-the matching sum too.  Symmetric determinants come from `_sym_det`, which must
-equal the cofactor expansion where it is affordable and Bareiss elimination
-past it.  Every pfaffian and determinant route returns its result in the
-scalar domain of the entries, and refuses a boolean entry and a float
-entry that is +-inf or nan.  A float hook is the float elimination of the
-array relabeled to put s first, bit for bit, and Decimal entries, another
-ring, give Decimal results equal to the Fraction routes.
+identities at sizes past the enumeration cap: relabeling, the direct
+sum, pf(B^T A B) = det B pf A and linearity in one hook.  Each domain and
+size runs one kernel: floats `_pf_eliminate`, ints and Fractions
+`_pf_fraction_free` at every 2n, Poly arrays the memo, which must equal
+the matching sum too.  Symmetric determinants of numbers come from
+`_bareiss_det`, which must equal the cofactor expansion where it is
+affordable and the pfaffian of the skew embedding, by `_pf_eliminate` in
+Fractions, past it.  Every pfaffian and determinant route returns its
+result in the scalar domain of the entries, and refuses a boolean entry
+and a float entry that is +-inf or nan.  A float hook is the float
+elimination of the array relabeled to put s first, bit for bit, and
+Decimal entries, another ring, give Decimal results equal to the
+Fraction routes.
 """
 import math
 import random
@@ -29,7 +32,6 @@ from pfsym import matchings
 from pfsym import pfaffian
 from pfsym.models import COSINE, SQUARE_DIFF, kernel_array, position_polys
 from pfsym.pfaffian import (
-    MEMO_MAX,
     MODES,
     SKEW,
     SYMMETRIC,
@@ -48,6 +50,10 @@ from pfsym.polyring import Poly, a
 
 def _array(two_n, mode, fill):
     return TriangularArray(two_n, mode, {(i, j): fill(i, j) for i, j in upper_pairs(two_n)})
+
+
+def _int(rng):
+    return rng.randint(-9, 9)
 
 
 def _exact_cases(rng, two_n, mode):
@@ -73,7 +79,7 @@ def _exact_cases(rng, two_n, mode):
 
 
 def _eliminated(arr):
-    """`_pf_eliminate` in Fractions of the array, which `pfaffian_direct` runs only above MEMO_MAX."""
+    """`_pf_eliminate` in Fractions of the array: the route independent of `pfaffian_direct`."""
     return pfaffian._pf_eliminate(arr.entries, tuple(range(1, arr.two_n + 1)), Fraction)
 
 
@@ -140,7 +146,49 @@ def test_permutation_identity_past_the_enumeration_cap(rng):
             assert moved == Permutation(images).sign * pf, two_n
 
 
-# (2a, 2c) block sizes: each block runs the memo, their direct sum elimination
+@pytest.mark.parametrize("fill", [_int, random_fraction], ids=["int", "Fraction"])
+def test_congruence_identity_past_the_enumeration_cap(rng, fill):
+    # pf(B^T A B) = det B pf A for B = L D, L unit lower-triangular and D
+    # diagonal, so det B is the product of the diagonal of D.  B is
+    # integral, and B^T A B is computed as B^T (qA) B / q in ints, with q
+    # the lcm of the denominators of A
+    for two_n in (16, 22, 30, 40):
+        arr = _array(two_n, SKEW, lambda i, j: fill(rng))
+        diagonal = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(two_n)]
+        b = [[_int(rng) if j < i else int(i == j) for j in range(two_n)] for i in range(two_n)]
+        b = [[x * diagonal[j] for j, x in enumerate(row)] for row in b]
+        q = math.lcm(*(v.denominator for v in arr.entries.values()))
+        a = [[int(x * q) for x in row] for row in completed_rows(two_n, SKEW, arr.entries)]
+        ab = [[sum(a[k][l] * b[l][j] for l in range(two_n)) for j in range(two_n)] for k in range(two_n)]
+
+        def entry(i, j):
+            total = sum(b[k][i - 1] * ab[k][j - 1] for k in range(two_n))
+            return total if fill is _int else Fraction(total, q)
+
+        congruent = _array(two_n, SKEW, entry)
+        got = pfaffian_direct(congruent)
+        assert got == math.prod(diagonal) * pfaffian_direct(arr), two_n
+        assert type(got) is type(pfaffian_direct(arr)) is (int if fill is _int else Fraction), two_n
+
+
+@pytest.mark.parametrize("fill", [_int, random_fraction], ids=["int", "Fraction"])
+def test_pfaffian_is_linear_in_one_hook(rng, fill):
+    # arrays that differ only in hook s (row and column s): the pfaffian of
+    # x h + y h' is x pf(h) + y pf(h'), by pfaffian_direct and by a hook rule
+    for two_n in (16, 22, 30, 40):
+        s = rng.randint(1, two_n)
+        base = _array(two_n, SKEW, lambda i, j: fill(rng))
+        hooks = [{p: fill(rng) for p in base.entries if s in p} for _ in range(2)]
+        x, y = fill(rng), fill(rng)
+        combined = {p: x * hooks[0][p] + y * hooks[1][p] for p in hooks[0]}
+        arrays = [TriangularArray(two_n, SKEW, base.entries | h) for h in (*hooks, combined)]
+        t = rng.randint(1, two_n)
+        for route in (pfaffian_direct, lambda arr: hook_expand_skew(arr, t)):
+            first, second, both = map(route, arrays)
+            assert both == x * first + y * second, (two_n, s, t)
+
+
+# (2a, 2c) block sizes of the direct sums
 DIRECT_SUM_BLOCKS = ((6, 8), (8, 8), (8, 10), (10, 10), (12, 12), (12, 10))
 
 
@@ -149,9 +197,9 @@ def direct_sum_mismatches(rng, blocks=DIRECT_SUM_BLOCKS):
     random Fraction arrays A on the labels `la` and C on the labels `lc`,
     and pi the one-line permutation la + lc.
 
-    1 is in `la` and 2 in `lc`, so the entry (1, 2) of M is 0 and Fraction
-    elimination must swap a pivot.  Each block has 2n <= MEMO_MAX, so the
-    right side runs the memo and shares no kernel with the left.
+    1 is in `la` and 2 in `lc`, so the entry (1, 2) of M is 0 and the
+    elimination must swap a pivot.  The right side takes pf A and pf C from
+    `_pf_eliminate` in Fractions, so it shares no kernel with the left.
     """
     bad = []
     for size_a, size_c in blocks:
@@ -164,14 +212,13 @@ def direct_sum_mismatches(rng, blocks=DIRECT_SUM_BLOCKS):
         for block, labels in zip(arrays, (la, lc)):
             for u, v in upper_pairs(len(labels)):
                 entries[(labels[u - 1], labels[v - 1])] = block.entries[(u, v)]
-        want = Permutation(la + lc).sign * pfaffian_direct(arrays[0]) * pfaffian_direct(arrays[1])
+        want = Permutation(la + lc).sign * _eliminated(arrays[0]) * _eliminated(arrays[1])
         if pfaffian_direct(TriangularArray(size_a + size_c, SKEW, entries)) != want:
             bad.append(size_a + size_c)
     return bad
 
 
 def test_direct_sum_past_the_memo_limit():
-    assert max(max(blocks) for blocks in DIRECT_SUM_BLOCKS) <= MEMO_MAX < min(map(sum, DIRECT_SUM_BLOCKS))
     assert direct_sum_mismatches(random.Random(3)) == []
 
 
@@ -367,9 +414,12 @@ def test_elimination_enumerates_no_matchings_and_ignores_the_cap(monkeypatch, rn
         assert isinstance(pfaffian_direct(_array(two_n, SKEW, lambda i, j: random_fraction(rng))), Fraction)
 
 
+KERNELS = ("_pf_fraction_free", "_pf_eliminate", "_subset_pf", "_bareiss_det")
+
+
 def _counted_kernels(monkeypatch):
-    """Count the calls of `_pf_eliminate` and `_subset_pf`, recursion included."""
-    calls = dict.fromkeys(("_pf_eliminate", "_subset_pf"), 0)
+    """Count the calls of each kernel, recursion included."""
+    calls = dict.fromkeys(KERNELS, 0)
     for name in calls:
         def counted(*args, name=name, kernel=getattr(pfaffian, name)):
             calls[name] += 1
@@ -379,14 +429,12 @@ def _counted_kernels(monkeypatch):
     return calls
 
 
-# (domain, fill, 2n, the kernel `_pfaffian` must pick) on both sides of MEMO_MAX
+# (domain, fill, 2n, the kernel `_pfaffian` must pick)
 KERNEL_ROUTES = [
-    ("int", lambda rng: rng.randint(-9, 9), MEMO_MAX, "_subset_pf"),
-    ("int", lambda rng: rng.randint(-9, 9), MEMO_MAX + 2, "_pf_eliminate"),
-    ("Fraction", random_fraction, MEMO_MAX, "_subset_pf"),
-    ("Fraction", random_fraction, MEMO_MAX + 2, "_pf_eliminate"),
+    *((domain, fill, two_n, "_pf_fraction_free") for domain, fill in (("int", _int), ("Fraction", random_fraction))
+      for two_n in (0, 2, 4, 12, 14, 40)),
     ("float", lambda rng: rng.uniform(-1, 1), 4, "_pf_eliminate"),
-    ("float", lambda rng: rng.uniform(-1, 1), MEMO_MAX + 2, "_pf_eliminate"),
+    ("float", lambda rng: rng.uniform(-1, 1), 14, "_pf_eliminate"),
     ("Poly", lambda rng: a(1, 2) + rng.randint(-2, 2), 6, "_subset_pf"),
 ]
 
@@ -395,21 +443,24 @@ KERNEL_ROUTES = [
     "domain, fill, two_n, kernel", KERNEL_ROUTES, ids=[f"{d}-{two_n}" for d, _, two_n, _ in KERNEL_ROUTES]
 )
 def test_each_domain_and_size_runs_one_kernel(monkeypatch, rng, domain, fill, two_n, kernel):
-    # pfaffian_direct, both hook rules along 1, n + 1 and 2n (every s at
-    # 2n = 4), and for ints and Fractions the skew determinant (pf^2) run
-    # `kernel` and never the other one; a float determinant is exact, so it
-    # takes the Fraction route
+    # pfaffian_direct and both hook rules along 1, n + 1 and 2n (every s at
+    # 2n <= 4) run `kernel` and no other.  A determinant of numbers is
+    # exact: a skew one is pf^2 by `_pf_fraction_free`, floats included, and
+    # a symmetric one runs `_bareiss_det` alone; a Poly one runs the memo
     calls = _counted_kernels(monkeypatch)
     hooks = (1, two_n // 2 + 1, two_n) if two_n > 4 else range(1, two_n + 1)
     for mode, hook in ((SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)):
         arr = _array(two_n, mode, lambda i, j: fill(rng))
-        routes = [pfaffian_direct] + [lambda arr, s=s: hook(arr, s) for s in hooks]
-        if mode == SKEW and domain in ("int", "Fraction"):
-            routes.append(determinant)
-        for route in routes:
+        routes = [(pfaffian_direct, kernel)] + [(lambda arr, s=s: hook(arr, s), kernel) for s in hooks]
+        if two_n:
+            if domain == "Poly":
+                routes.append((determinant, "_subset_pf"))
+            else:
+                routes.append((determinant, "_bareiss_det" if mode == SYMMETRIC else "_pf_fraction_free"))
+        for route, want in routes:
             calls.update(dict.fromkeys(calls, 0))
             route(arr)
-            assert calls[kernel] > 0 and sum(calls.values()) == calls[kernel], (mode, calls)
+            assert calls[want] > 0 and sum(calls.values()) == calls[want], (mode, want, calls)
 
 
 def test_poly_arrays_keep_the_enumeration_cap():
@@ -458,10 +509,11 @@ def _big_fraction(rng):
 
 
 def sym_det_cases(rng, size, scalar=random_fraction):
-    """Symmetric upper entries of `size` that drive `_sym_det` down each pivot path.
+    """Symmetric upper entries of `size` whose zeros move the pivots.
 
-    After a 2x2 pivot on indices 1, 2 the trailing diagonal entry of index i
-    is -2 a(1,i) a(2,i) / a(1,2), so zeros in rows 1 and 2 place it.
+    The diagonal is zero, so Bareiss elimination swaps rows at its first
+    step; the zeros placed below make it swap at later steps too, or find
+    no pivot at all.
     """
     pairs = list(upper_pairs(size))
 
@@ -471,17 +523,15 @@ def sym_det_cases(rng, size, scalar=random_fraction):
     full = fill(lambda i, j: scalar(rng))
     cases = [
         full,
-        # small ints, mostly zero: swaps and both pivot sizes at later steps
+        # small ints, mostly zero: swaps at later steps
         fill(lambda i, j: rng.choice((0, 0, 0, 1, -2))),
-        # a zero first row under the zero diagonal: the determinant is 0
+        # a zero first row: no pivot in column 1, the determinant is 0
         fill(lambda i, j: 0 if i == 1 else scalar(rng)),
-        # a(1,2) = 0: the 2x2 pivot needs a swap into position 2
+        # a(1,2) = 0: the first pivot row is not row 2
         full | {(1, 2): 0},
-        # a(2,3) = 0: the 2x2 step leaves index 3 a zero diagonal, so the
-        # 1x1 step that follows swaps index 4 to the front
+        # a(2,3) = 0: a zero next to the leading 2x2 block
         full | {(2, 3): 0},
-        # rows 1 and 2 with disjoint supports: the 2x2 step leaves a second
-        # all-zero diagonal, and another 2x2 step follows
+        # rows 1 and 2 with disjoint supports past index 2
         fill(lambda i, j: 0 if i in (1, 2) and j > 2 and (i + j) % 2 else scalar(rng)),
     ]
     # squared differences at integer points: rank <= 3, so det = 0 at size >= 4
@@ -492,15 +542,35 @@ def sym_det_cases(rng, size, scalar=random_fraction):
 
 
 def sym_det_mismatches(rng, sizes, oracle, scalar=random_fraction):
-    """The (size, case number) of each case where `_sym_det` differs from `oracle(rows)`."""
+    """The (size, case number) of each case where the symmetric
+    `completed_determinant` differs from `oracle(rows)`."""
     bad = []
     for size in sizes:
         for k, entries in enumerate(sym_det_cases(rng, size, scalar)):
-            got = pfaffian._sym_det(size, entries)
+            got = completed_determinant(size, SYMMETRIC, entries)
             assert type(got) is Fraction
             if got != oracle(completed_rows(size, SYMMETRIC, {p: Fraction(v) for p, v in entries.items()})):
                 bad.append((size, k))
     return bad
+
+
+def embedded_det(rows):
+    """det M = (-1)^(m(m-1)/2) pf [[0, M], [-M^T, 0]] for M of size m, with
+    the pfaffian by `_pf_eliminate` in Fractions, which shares no code with
+    `_bareiss_det`."""
+    m = len(rows)
+    entries = dict.fromkeys(upper_pairs(2 * m), Fraction(0))
+    for i, row in enumerate(rows, 1):
+        for j, v in enumerate(row, m + 1):
+            entries[(i, j)] = v
+    pf = pfaffian._pf_eliminate(entries, tuple(range(1, 2 * m + 1)), Fraction)
+    return -pf if m * (m - 1) // 2 % 2 else pf
+
+
+def test_embedded_det_is_the_cofactor_expansion(rng):
+    for size in range(1, 6):
+        rows = [[random_fraction(rng) for _ in range(size)] for _ in range(size)]
+        assert embedded_det(rows) == cofactor_det(rows), size
 
 
 @pytest.mark.parametrize("scalar", [random_fraction, _big_fraction], ids=["den<=9", "den 6 digits"])
@@ -508,10 +578,9 @@ def test_sym_det_matches_the_cofactor_oracle(rng, scalar):
     assert sym_det_mismatches(rng, range(1, 8), cofactor_det, scalar) == []
 
 
-def test_sym_det_matches_bareiss_past_the_cofactor_oracle(rng):
-    # Bareiss costs about 3x the kernel: these sizes keep the test near 1 s
-    assert sym_det_mismatches(rng, (8, 9, 12, 17, 23, 30), pfaffian._bareiss_det) == []
-    assert sym_det_mismatches(rng, (8, 11, 14), pfaffian._bareiss_det, _big_fraction) == []
+def test_sym_det_matches_the_embedded_pfaffian_past_the_cofactor_oracle(rng):
+    assert sym_det_mismatches(rng, (8, 9, 12, 17, 23, 30), embedded_det) == []
+    assert sym_det_mismatches(rng, (8, 11, 14), embedded_det, _big_fraction) == []
 
 
 def test_squared_difference_determinants_vanish_from_size_four():

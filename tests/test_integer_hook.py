@@ -1,13 +1,12 @@
 """Fraction hook expansions on integers, against two oracles.
 
-Up to 2n = MEMO_MAX a Fraction hook expansion scales entry (i, j) by
-d_i d_j, with d_i the lcm of the denominators of row i, runs `_subset_pf`
-on those ints and divides by the product of the d_i: pf(DAD) = det D pf A;
-at 2n = 14 it is elimination in Fractions.  Every hook of both modes must
-equal the paper's rule with its minors evaluated by `_subset_pf` on the
-Fraction entries themselves (the unscaled route), and the pfaffian by
-`_pf_eliminate`, which `pfaffian_direct` runs only above MEMO_MAX.  Int
-arrays keep their int result.
+A Fraction hook expansion scales entry (i, j) by d_i d_j, with d_i the
+lcm of the denominators of row i, runs `_pf_fraction_free` on those ints
+and divides by the product of the d_i: pf(DAD) = det D pf A.  Every hook
+of both modes, at 2n = 2 to 14, must equal the paper's rule with its
+minors evaluated by `_subset_pf` on the Fraction entries themselves (the
+unscaled route), and the pfaffian by `_pf_eliminate` in Fractions, which
+shares no code with the integer route.  Int arrays keep their int result.
 """
 import random
 from fractions import Fraction

@@ -3,9 +3,9 @@
 A check that compares a route with itself passes whatever the route
 computes.  Each test here breaks one kernel, runs the check at a small n
 and requires a FAIL line for every n, after a clean run that passes; the
-`_sym_det` mutants must make its oracle comparison find a mismatch, the
-`_pf_eliminate` mutants Schur's pfaffian at 2n = 20 and 40, and the swap
-mutant the exact direct-sum identity.
+`_bareiss_det` mutants must make the determinant oracle find a mismatch,
+the elimination mutants Schur's pfaffian at 2n = 20 and 40, and the swap
+mutant of `_pf_fraction_free` the exact direct-sum identity.
 """
 import inspect
 import random
@@ -32,16 +32,17 @@ def _rewritten(module, kernel, old: str, new: str):
     return namespace[kernel.__name__]
 
 
-def _flip_first_term(kernel):
-    """`kernel` rebuilt from its source with the sign of its t = 1 term flipped."""
-    return _rewritten(pfaffian, kernel, "        if t % 2 == 0:\n", "        if (t % 2 == 0) != (t == 1):\n")
+def _divides_by_its_pivot(kernel):
+    """`_pf_fraction_free` that divides each update by the current pivot p
+    in place of the pivot before it."""
+    return _rewritten(pfaffian, kernel, "// prev\n", "// p\n")
 
 
 @pytest.mark.parametrize(
     "check, mode, target, mutate",
     [
         ("skew-det", "exact,50 arrays", "_pf_eliminate", lambda kernel: lambda *args: 2 * kernel(*args)),
-        ("hook-oracle", "exact,both modes,50 arrays", "_subset_pf", _flip_first_term),
+        ("hook-oracle", "exact,both modes,50 arrays", "_pf_fraction_free", _divides_by_its_pivot),
     ],
     ids=["skew-det", "hook-oracle"],
 )
@@ -61,6 +62,11 @@ def _no_swap_sign(kernel):
     return _rewritten(pfaffian, kernel, "            result = -result\n", "            pass\n")
 
 
+def _no_sign_flip(kernel):
+    """`_pf_fraction_free` or `_bareiss_det` that forgets the sign flip of a pivot swap."""
+    return _rewritten(pfaffian, kernel, "            sign = -sign\n", "            pass\n")
+
+
 def _drop_d_j(kernel):
     """`_pfaffian` that scales entry (i, j) of a Fraction array by d_i only,
     not d_i d_j, so the products of a matching no longer share one factor."""
@@ -68,9 +74,9 @@ def _drop_d_j(kernel):
 
 
 def _no_row_signs(kernel):
-    """`_expand` that reads a `negated` position without its sign, so hook
-    row s holds a(j,s) below s in place of -a(j,s)."""
-    return _rewritten(pfaffian, kernel, "-entries[(i, j) if i < j else (j, i)]", "entries[(i, j) if i < j else (j, i)]")
+    """`_pf_fraction_free` that reads a `negated` position without its sign,
+    so hook row s holds a(j,s) below s in place of -a(j,s)."""
+    return _rewritten(pfaffian, kernel, "-entries[(j, i)] for i, j in negated", "entries[(j, i)] for i, j in negated")
 
 
 def _no_hook_sign(kernel):
@@ -99,6 +105,14 @@ THEOREM1 = "theorem1 n={} [symmetric-gens/{}] residual=0"
             ],
         ),
         (
+            "hook-oracle", "2..3", pfaffian, "_pf_fraction_free", _no_sign_flip,
+            [
+                (f"hook-oracle n={n} [exact,both modes,50 arrays] residual=0",
+                 "hook expansions", "direct pfaffian")
+                for n in (2, 3)
+            ],
+        ),
+        (
             "hook-oracle", "2..3", pfaffian, "_pfaffian", _drop_d_j,
             [
                 (f"hook-oracle n={n} [exact,both modes,50 arrays] residual=0",
@@ -107,7 +121,7 @@ THEOREM1 = "theorem1 n={} [symmetric-gens/{}] residual=0"
             ],
         ),
         (
-            "hook-oracle", "2..3", pfaffian, "_expand", _no_row_signs,
+            "hook-oracle", "2..3", pfaffian, "_pf_fraction_free", _no_row_signs,
             [
                 (f"hook-oracle n={n} [exact,both modes,50 arrays] residual=0",
                  "hook expansions", "direct pfaffian")
@@ -135,7 +149,7 @@ THEOREM1 = "theorem1 n={} [symmetric-gens/{}] residual=0"
         ),
     ],
     ids=[
-        "hook-oracle/swap-sign", "hook-oracle/scaling", "hook-oracle/row-signs", "hook-oracle/hook-sign",
+        "hook-oracle/swap-sign", "hook-oracle/integer-swap-sign", "hook-oracle/scaling", "hook-oracle/row-signs", "hook-oracle/hook-sign",
         "theorem1/cut-search", "theorem1/membership",
     ],
 )
@@ -143,11 +157,13 @@ def test_check_fails_on_its_kernel_mutant(monkeypatch, capsys, check, n, module,
     """A search or elimination kernel broken where its check still runs to the end.
 
     - `_pf_eliminate` without the sign flip of a pivot swap: `hook-oracle`
-      compares the elimination with `_subset_pf` and fails.  `skew-det` does
+      compares the hooks with this elimination and fails.  `skew-det` does
       not catch this mutant, because pf squared hides the sign.
+    - `_pf_fraction_free` without that sign flip: the hooks that swap, on
+      an entry a(s, j) = 0 of their first row, take the wrong sign.
     - `_pfaffian` scaling a Fraction entry (i, j) by d_i alone: the hook
-      expansions, on the memo, no longer equal the elimination.
-    - `_expand` reading a `negated` position without its sign: on the memo,
+      expansions no longer equal the elimination.
+    - `_pf_fraction_free` reading a `negated` position without its sign:
       every hook s > 1 loses the sign of -a(j,s) below s, and fails.
     - `_hook_expand` without the factor (-1)^(s-1): every even hook has the
       wrong sign.
@@ -170,31 +186,38 @@ def test_check_fails_on_its_kernel_mutant(monkeypatch, capsys, check, n, module,
 @pytest.mark.parametrize(
     "old, new",
     [
-        # the 2x2 pivot [[0, b], [b, 0]] with det +b^2
-        ("            result *= -p * p\n", "            result *= p * p\n"),
-        # the swap of the 1x1 pivot moves rows only, not the columns with them
-        ("                    r[0], r[k] = r[k], r[0]\n", "                    pass\n"),
+        # a row swap that keeps the sign
+        ("            sign = -sign\n", "            pass\n"),
+        # the determinant of the scaled rows, not divided by the product of the scales
+        ("    return Fraction(sign * a[-1][-1], scale)\n", "    return Fraction(sign * a[-1][-1])\n"),
     ],
-    ids=["2x2 pivot +b^2", "1x1 swap of rows only"],
+    ids=["row swap without sign", "rows not scaled back"],
 )
 def test_sym_det_oracle_fails_on_its_mutant(monkeypatch, old, new):
     assert sym_det_mismatches(random.Random(1), range(1, 7), cofactor_det) == []
-    monkeypatch.setattr(pfaffian, "_sym_det", _rewritten(pfaffian, pfaffian._sym_det, old, new))
+    monkeypatch.setattr(pfaffian, "_bareiss_det", _rewritten(pfaffian, pfaffian._bareiss_det, old, new))
     assert sym_det_mismatches(random.Random(1), range(1, 7), cofactor_det) != []
 
 
 @pytest.mark.parametrize(
-    "mutate", [lambda kernel: lambda *args: 2 * kernel(*args), _no_swap_sign], ids=["twice the value", "no swap sign"]
+    "target, mutate",
+    [
+        ("_pf_eliminate", lambda kernel: lambda *args: 2 * kernel(*args)),
+        ("_pf_eliminate", _no_swap_sign),
+        ("_pf_fraction_free", _divides_by_its_pivot),
+    ],
+    ids=["twice the value", "no swap sign", "integer kernel divides by its pivot"],
 )
-def test_schur_oracle_fails_on_elimination_mutants(monkeypatch, mutate):
-    # Fraction elimination pivots on the first nonzero entry and never swaps
-    # on these arrays, so the swap mutant shows in the float half only
-    monkeypatch.setattr(pfaffian, "_pf_eliminate", mutate(pfaffian._pf_eliminate))
+def test_schur_oracle_fails_on_elimination_mutants(monkeypatch, target, mutate):
+    # `_pf_eliminate` runs the float half only; the first entry of row 0 is
+    # never zero on these arrays, so its swap mutant shows through the
+    # largest-entry pivots of floats
+    monkeypatch.setattr(pfaffian, target, mutate(getattr(pfaffian, target)))
     assert {two_n for two_n, _, _ in schur_mismatches((20, 40))} == {20, 40}
 
 
 def test_direct_sum_fails_on_the_swap_mutant(monkeypatch):
-    # the zero entry (1, 2) of each direct sum makes Fraction elimination
-    # swap; the mutant flips the sign where it swaps an odd number of times
-    monkeypatch.setattr(pfaffian, "_pf_eliminate", _no_swap_sign(pfaffian._pf_eliminate))
+    # the zero entry (1, 2) of each direct sum makes the elimination swap;
+    # the mutant flips the sign where it swaps an odd number of times
+    monkeypatch.setattr(pfaffian, "_pf_fraction_free", _no_sign_flip(pfaffian._pf_fraction_free))
     assert direct_sum_mismatches(random.Random(3)) == [14, 20, 24, 22]

@@ -1,11 +1,11 @@
-"""Schur's pfaffian against its closed form, on both sides of MEMO_MAX.
+"""Schur's pfaffian against its closed form, at 2n = 4 to 40.
 
 pf[(x_i - x_j)/(x_i + x_j)] = prod_{i<j} (x_i - x_j)/(x_i + x_j) needs no
-pfsym route (`pf_oracles.schur_pfaffian`), so it checks the integer memo
-(2n <= MEMO_MAX) and elimination (above it, and for every float array) at
-sizes where the matching sum is out of reach: `pfaffian_direct` and the
-hooks s = 1, n + 1 and 2n of both rules, in Fractions exactly and in
-floats to a relative tolerance.
+pfsym route (`pf_oracles.schur_pfaffian`), so it checks elimination on
+integers (every Fraction array) and in floats at sizes where the
+matching sum is out of reach: `pfaffian_direct` and the hooks s = 1,
+n + 1 and 2n of both rules, in Fractions exactly and in floats to a
+relative tolerance.
 """
 import math
 import random
@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from pf_oracles import pfaffian_sum, schur_pfaffian
 from pfsym.pfaffian import (
-    MEMO_MAX,
     SKEW,
     SYMMETRIC,
     TriangularArray,
@@ -68,5 +67,4 @@ def test_schur_closed_form_is_the_matching_sum():
 
 
 def test_schur_pfaffian_on_both_sides_of_the_memo_limit():
-    assert min(SIZES) <= MEMO_MAX < max(SIZES)
     assert schur_mismatches(SIZES) == []
