@@ -15,17 +15,18 @@ elimination in O(n^3) operations (`_pf_eliminate`), ints and Fractions
 the same elimination on integers at every 2n (`_pf_fraction_free`: each
 row scaled by the lcm of its denominators, each update divided exactly
 by the pivot before), Poly and other rings the memoized expansion
-`_subset_pf` up to 2n = EXPAND_CAP.  `pfaffian_direct`, both hook rules
-(`_hook_expand`: hook s is (-1)^(s-1) times the pfaffian of the array
-relabeled to put s first) and the skew determinant (pf^2, 0 at odd size)
-call it.  Symmetric determinants of numbers come from Bareiss
-elimination on integers (`_bareiss_det`), which is also one side of
-`verify skew-det`.  Poly and other-ring determinants expand the skew
-embedding [[0, M], [-M^T, 0]] by `_expand`, which packs Poly entries
-once per call, at any size.  A float result that overflows, or a float
-entry that is +-inf or nan, is a ValueError that names it, never +-inf
-or nan, which JSON cannot hold.  No route enumerates matchings; the
-definitional oracles live with the tests (`tests/pf_oracles.py`).
+`_subset_pf` up to 2n = EXPAND_CAP.  A relabeling is an order `live`
+alone, as every kernel reads a pair it reverses from the skew completion.
+`pfaffian_direct` and both hook rules (`_hook_expand`: hook s is
+(-1)^(s-1) times the pfaffian of the array relabeled to put s first)
+call it.  A skew determinant is pf^2 (0 at odd size), and a symmetric
+one Bareiss elimination on integers (`_bareiss_det`) for numbers and
+`_expand` of the skew embedding [[0, M], [-M^T, 0]] for rings; `_expand`
+packs Poly entries once per call, at any size.  A float result that
+overflows, or a float entry that is +-inf or nan, is a ValueError that
+names it, never +-inf or nan, which JSON cannot hold.  No route
+enumerates matchings; the definitional oracles live with the tests
+(`tests/pf_oracles.py`).
 """
 from __future__ import annotations
 
@@ -206,12 +207,13 @@ def _domain(entries: Mapping[tuple[int, int], object]):
     return next((d for d in (Poly, object, float, Fraction) if d in kinds), int)
 
 
-def _expand(domain, entries: Mapping[tuple[int, int], object], live: tuple[int, ...], negated=()):
-    """`_subset_pf(entries, live)` in `domain` (Poly or another ring),
-    where a position (i, j) in `negated` holds -entries[(i, j)], or
-    -entries[(j, i)] for i > j.  Poly entries are packed
-    (`polyring._packing`), so a product of monomials is one integer
-    addition, and the sum is unpacked into a Poly even when it is an int.
+def _expand(domain, entries: Mapping[tuple[int, int], object], live: tuple[int, ...]):
+    """Pfaffian in `domain` (Poly or another ring) of the skew completion
+    of the upper `entries`, relabeled on `live` as in `_pfaffian`, by
+    `_subset_pf`.  Poly entries are packed (`polyring._packing`), so a
+    product of monomials is one integer addition, and the sum is unpacked
+    into a Poly even when it is an int.  Unless `live` is 1..2n, each key
+    (j, i) is added as -entries[(i, j)], after packing, to a new dict.
     Another ring's sum that met only int entries, such as the int 0 ending
     a row of int zeros, takes the ring's zero."""
     if domain is Poly:
@@ -220,8 +222,8 @@ def _expand(domain, entries: Mapping[tuple[int, int], object], live: tuple[int, 
         pack, unpack = _packing(distinct.values(), len(live) // 2)
         packed = {k: pack(v) for k, v in distinct.items()}
         entries = {p: packed[id(v)] for p, v in entries.items()}
-    if negated:
-        entries = entries | {(i, j): -entries[(i, j) if i < j else (j, i)] for i, j in negated}
+    if live != tuple(range(1, len(live) + 1)):
+        entries = entries | {(j, i): -v for (i, j), v in entries.items()}
     total = _subset_pf(entries, live, {})
     if domain is Poly:
         return unpack(total)
@@ -270,20 +272,19 @@ def pfaffian_direct(arr: TriangularArray):
     return _finite(_pfaffian(arr.entries, tuple(range(1, arr.two_n + 1)), _domain(arr.entries)), "pfaffian")
 
 
-def _pfaffian(entries: Mapping[tuple[int, int], object], live: tuple[int, ...], domain, negated=()):
+def _pfaffian(entries: Mapping[tuple[int, int], object], live: tuple[int, ...], domain):
     """Pfaffian in `domain` of the skew completion A of the upper `entries`,
-    relabeled on `live`, an ordering of 1..2n: the array A[live[u]][live[v]].
-
-    `negated` lists the pairs (i, j), i > j, that `live` puts in that order,
-    where the entry is -a(j, i); there are none exactly when `live` is 1..2n
-    in order.  The one place that picks a pfaffian algorithm, from the
-    domain; see the module docstring.  A float result that is zero
+    relabeled on `live`, an ordering of 1..2n: the array A[live[u]][live[v]],
+    whose pfaffian is sgn(live) pf A.  Each kernel reads a pair that `live`
+    puts in decreasing order, i > j, as -a(j, i), so the order alone names
+    the relabeling.  The one place that picks a pfaffian algorithm, from
+    the domain; see the module docstring.  A float result that is zero
     or not finite has the entries scanned for a float +-inf or nan, which is
     a ValueError naming it: elimination that meets one ends in such a result.
     """
     two_n = len(live)
     if domain is float:
-        value = _pf_eliminate(entries, live, float, negated)
+        value = _pf_eliminate(entries, live, float)
         if not (value and math.isfinite(value)):
             _refuse_non_finite(entries)
         return value
@@ -293,23 +294,24 @@ def _pfaffian(entries: Mapping[tuple[int, int], object], live: tuple[int, ...], 
         for (i, _), v in entries.items():
             d[i] = math.lcm(d[i], v.denominator)
         scaled = {(i, j): v.numerator * (d[i] * d[j] // v.denominator) for (i, j), v in entries.items()}
-        total = _pf_fraction_free(scaled, live, negated)
+        total = _pf_fraction_free(scaled, live)
         return total if domain is int else Fraction(total, math.prod(d))
     if two_n > EXPAND_CAP:
         raise ValueError(f"two_n={two_n} exceeds the memoized-expansion cap {EXPAND_CAP}")
-    return _expand(domain, entries, live, negated)
+    return _expand(domain, entries, live)
 
 
-def _pf_eliminate(entries: Mapping[tuple[int, int], object], live: tuple[int, ...], cast, negated=()):
+def _pf_eliminate(entries: Mapping[tuple[int, int], object], live: tuple[int, ...], cast):
     """Pfaffian of the skew completion of the upper `entries`, relabeled on
     `live` as in `_pfaffian`, by pivoted Schur elimination.
 
     Parlett & Reid, BIT 10 (1970); Wimmer, ACM TOMS 38(4) (2012).  The
-    entries are cast to `cast` (float or Fraction).  Each step eliminates
-    the leading two rows and columns.  The pivot column is swapped into
-    position 1 (a swap flips the sign) and p = a[0][1] becomes a factor
-    of the result; with u, v the rows 0 and 1, the trailing block then
-    takes the Schur complement update a[i][j] += (v[i]*u[j] - u[i]*v[j]) / p.
+    skew completion, cast to `cast` (float or Fraction), is reordered by
+    `live` unless it is 1..2n.  Each step eliminates the leading two rows
+    and columns: the pivot column is swapped into position 1 (a swap flips
+    the sign) and p = a[0][1] becomes a factor of the result; with u, v the
+    rows 0 and 1, the trailing block then takes the Schur complement update
+    a[i][j] += (v[i]*u[j] - u[i]*v[j]) / p.
     The update is skew, so it is computed above the diagonal and mirrored.
     Floats pivot on the entry of largest magnitude, Fractions on the first
     nonzero entry.  `_pfaffian` runs it on floats; in Fractions it is the
@@ -321,8 +323,7 @@ def _pf_eliminate(entries: Mapping[tuple[int, int], object], live: tuple[int, ..
         w = cast(v)
         a[i - 1][j - 1] = w
         a[j - 1][i - 1] = -w
-    if negated:
-        # `live` is not 1..2n in order
+    if live != tuple(range(1, size + 1)):
         a = [[a[i - 1][j - 1] for j in live] for i in live]
     result = cast(1)
     while a:
@@ -354,10 +355,10 @@ def _pf_eliminate(entries: Mapping[tuple[int, int], object], live: tuple[int, ..
     return result
 
 
-def _pf_fraction_free(entries: Mapping[tuple[int, int], int], live: tuple[int, ...], negated=()) -> int:
+def _pf_fraction_free(entries: Mapping[tuple[int, int], int], live: tuple[int, ...]) -> int:
     """Pfaffian, an int, of the skew completion of the int upper `entries`,
-    relabeled on `live` and `negated` as in `_pfaffian`, by fraction-free
-    pivoted skew elimination.
+    relabeled on `live` as in `_pfaffian` (a pair i > k reads -a(k, i)),
+    by fraction-free pivoted skew elimination.
 
     As in `_pf_eliminate`, the first nonzero entry of row 0 is swapped into
     position 1 (a swap flips the sign) and p = a[0][1]; with u, v the rows
@@ -368,14 +369,13 @@ def _pf_fraction_free(entries: Mapping[tuple[int, int], int], live: tuple[int, .
     "Overlapping Pfaffians", Electron. J. Combin. 3(2), 1996; Bareiss,
     Math. Comp. 22, 1968), and the last pivot is the pfaffian.
     """
-    if negated:
-        entries = entries | {(i, j): -entries[(j, i)] for i, j in negated}
     size = len(live)
     a = [[0] * size for _ in range(size)]
     for u, i in enumerate(live):
         row = a[u]
         for v in range(u + 1, size):
-            row[v] = w = entries[(i, live[v])]
+            k = live[v]
+            row[v] = w = entries[(i, k)] if i < k else -entries[(k, i)]
             a[v][u] = -w
     sign = prev = 1
     while a:
@@ -463,16 +463,16 @@ def _hook_expand(arr: TriangularArray, s: int, mode: str):
     whose row s holds a(s,j) for j > s and -a(j,s) for j < s, times
     (-1)^(s-1), as `_subset_pf` signs partner j by its position
     t = j - [j > s].  That expansion is the pfaffian of the relabeled
-    array, so every hook equals the pfaffian.  The pairs (s, j), j < s, are
-    the ones `live` puts below the diagonal.  A float result that overflowed
-    is a ValueError.
+    array, so every hook equals the pfaffian.  `_pfaffian` reads the pairs
+    (s, j), j < s, that `live` reverses as -a(j, s).  A float result that
+    overflowed is a ValueError.
     """
     if arr.mode != mode:
         raise ValueError(f"{mode} hook expansion needs a {mode} array, got mode {arr.mode!r}")
     if not 1 <= s <= arr.two_n:
         raise IndexError(f"hook {s} outside 1..{arr.two_n}")
     live = (s, *range(1, s), *range(s + 1, arr.two_n + 1))
-    value = _pfaffian(arr.entries, live, _domain(arr.entries), [(s, k) for k in range(1, s)])
+    value = _pfaffian(arr.entries, live, _domain(arr.entries))
     return _finite(-value if s % 2 == 0 else value, "hook expansion")
 
 
@@ -492,22 +492,19 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
     half by symmetry or skew-symmetry, with zero diagonal.  The entries
     must be exactly the upper pairs of `size`; a missing or an extra one
     is a ValueError, as for a TriangularArray.  `_domain` picks the route
-    and the result type from the entries.  Ints and Fractions give a
-    Fraction, and floats the float of that exact value: a skew matrix has
-    det = pf^2 at even size (its Fraction pfaffian by `_pfaffian`) and 0 at odd
-    size, and a symmetric one goes through `_bareiss_det`, Bareiss
-    elimination on its rows, each scaled to ints.  A float entry that
-    is +-inf or nan is a ValueError naming it, and a value that does not
-    fit a float is a ValueError naming the overflow, never +-inf, which
-    JSON cannot hold.  Poly entries give a Poly, and any other scalar its
-    own ring:
-    det M = (-1)^(m(m-1)/2) pf [[0, M], [-M^T, 0]] for M of size m, and
-    `_expand` expands that pfaffian along its rows, on packed monomials
-    for Poly entries; an entry v sits in both halves as one object, which
-    is packed once, and `_expand` negates it below in the skew mode.  It
-    skips the zero blocks, so its memo holds only the m 2^m column-subset
-    minors of M, and it takes no size cap.  A boolean entry, or a float
-    beside a Poly, is a ValueError.
+    and the result type: ints and Fractions give a Fraction, floats the
+    float of that exact value, Poly entries a Poly and any other scalar
+    its own ring.  A skew matrix is 0 in that type at odd size and pf^2 at
+    even size, by `_pfaffian` in Fractions for numbers and by `_expand`,
+    with no size cap, for rings.  A symmetric matrix M of size m goes
+    through `_bareiss_det`, Bareiss elimination on its rows scaled to ints,
+    for numbers, and for rings through `_expand` of the skew embedding,
+    det M = (-1)^(m(m-1)/2) pf [[0, M], [-M^T, 0]], with no size cap: each
+    entry is packed once in both halves, and the memo holds only the m 2^m
+    column-subset minors of M.  A float entry +-inf or nan is a ValueError
+    naming it, and so is a value that overflows a float, never +-inf,
+    which JSON cannot hold.  A boolean entry, or a float beside a Poly, is
+    a ValueError.
     """
     if mode not in (SYMMETRIC, SKEW):
         raise ValueError(f"mode must be symmetric or skew, got {mode!r}")
@@ -515,34 +512,33 @@ def completed_determinant(size: int, mode: str, entries: Mapping[tuple[int, int]
         raise ValueError(f"size must be >= 1, got {size}")
     _check_keys(size, entries)
     domain = _domain(entries)
-    if domain in (int, Fraction, float):
-        if domain is float:
-            _refuse_non_finite(entries)
-            entries = {p: Fraction(v) for p, v in entries.items()}
-        if mode == SKEW:
-            # a skew matrix of odd size is singular, and of even size has det = pf^2
-            exact = _pfaffian(entries, tuple(range(1, size + 1)), Fraction) ** 2 if size % 2 == 0 else Fraction(0)
+    if domain is float:
+        _refuse_non_finite(entries)
+        entries = {p: Fraction(v) for p, v in entries.items()}
+    live = tuple(range(1, size + 1))
+    if mode == SKEW and size % 2:
+        # a skew matrix of odd size is singular; a ring's zero is v - v for an entry v
+        value = next((v - v for v in entries.values() if not isinstance(v, (int, Fraction))), Fraction(0))
+    elif mode == SKEW:
+        pf = _pfaffian(entries, live, Fraction) if domain in (int, Fraction, float) else _expand(domain, entries, live)
+        value = pf * pf
+    else:
+        rows = [[0] * size for _ in range(size)]
+        for (i, j), v in entries.items():
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = v
+        if domain in (int, Fraction, float):
+            value = _bareiss_det(rows)
         else:
-            rows = [[0] * size for _ in range(size)]
-            for (i, j), v in entries.items():
-                rows[i - 1][j - 1] = rows[j - 1][i - 1] = v
-            exact = _bareiss_det(rows)
-        if domain is not float:
-            return exact
-        try:
-            return float(exact)
-        except OverflowError:
-            e = round(math.log10(abs(exact.numerator)) - math.log10(exact.denominator))
-            raise ValueError(
-                f"the determinant overflows a float (|det| is about 10^{e}); exact entries give its exact value"
-            ) from None
-    embedded = dict.fromkeys(upper_pairs(2 * size), 0)
-    for (i, j), v in entries.items():
-        embedded[(i, size + j)] = embedded[(j, size + i)] = v
-    # a skew entry sits below as -v, which `_expand` negates after packing v once
-    negated = [(j, size + i) for i, j in entries] if mode == SKEW else ()
-    value = _expand(domain, embedded, tuple(range(1, 2 * size + 1)), negated)
-    return -value if size * (size - 1) // 2 % 2 else value
+            embedded = {(i, j): rows[i - 1][j - size - 1] if i <= size < j else 0 for i, j in upper_pairs(2 * size)}
+            value = _expand(domain, embedded, tuple(range(1, 2 * size + 1)))
+            value = -value if size * (size - 1) // 2 % 2 else value
+    try:
+        return float(value) if domain is float else value
+    except OverflowError:
+        e = round(math.log10(abs(value.numerator)) - math.log10(value.denominator))
+        raise ValueError(
+            f"the determinant overflows a float (|det| is about 10^{e}); exact entries give its exact value"
+        ) from None
 
 
 def _bareiss_det(rows: list[list]) -> Fraction:

@@ -17,6 +17,7 @@ elimination of the array relabeled to put s first, bit for bit, and
 Decimal entries, another ring, give Decimal results equal to the
 Fraction routes.
 """
+import copy
 import math
 import random
 import re
@@ -45,7 +46,7 @@ from pfsym.pfaffian import (
     upper_pairs,
 )
 from pfsym.permutations import Permutation
-from pfsym.polyring import Poly, a
+from pfsym.polyring import Poly, a, x
 
 
 def _array(two_n, mode, fill):
@@ -146,6 +147,68 @@ def test_permutation_identity_past_the_enumeration_cap(rng):
             assert moved == Permutation(images).sign * pf, two_n
 
 
+# domain -> (entry fill, the 2n it is relabeled at)
+RELABEL_DOMAINS = {
+    "int": (_int, range(0, 31, 2)),
+    "Fraction": (random_fraction, range(0, 31, 2)),
+    "float": (lambda rng: rng.uniform(-1, 1), range(0, 21, 2)),
+    "Poly": (lambda rng: rng.randint(1, 3) * x(rng.randint(1, 4)) + rng.randint(-2, 2), range(0, 9, 2)),
+    "Decimal": (lambda rng: Decimal(rng.randint(-99, 99)).scaleb(-1), range(0, 9, 2)),
+}
+
+
+def relabel_mismatches(rng):
+    """The (domain, 2n) of each random order `live`, three per array, at
+    which `_pfaffian(entries, live, domain)`, the pfaffian of the skew
+    completion relabeled on `live`, is not sgn(live) `pfaffian_direct`:
+    exactly in every domain but floats, which agree to a relative
+    tolerance."""
+    bad = []
+    for name, (fill, sizes) in RELABEL_DOMAINS.items():
+        for two_n in sizes:
+            arr = _array(two_n, SKEW, lambda i, j: fill(rng))
+            want = pfaffian_direct(arr)
+            for _ in range(3):
+                live = rng.sample(range(1, two_n + 1), two_n)
+                got = pfaffian._pfaffian(arr.entries, tuple(live), pfaffian._domain(arr.entries))
+                moved = Permutation(live).sign * want
+                if type(got) is not type(want) or not (
+                    math.isclose(got, moved, rel_tol=1e-9, abs_tol=1e-12) if name == "float" else got == moved
+                ):
+                    bad.append((name, two_n))
+    return bad
+
+
+def changed_entries(rng):
+    """The (domain, route) of each pfaffian, hook or determinant route that
+    leaves `arr.entries` different from what it was, at 2n = 4 and 6."""
+    bad = []
+    for name, (fill, _) in RELABEL_DOMAINS.items():
+        for two_n in (4, 6):
+            values = {p: fill(rng) for p in upper_pairs(two_n)}
+            for mode, hook in ((SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)):
+                arr = TriangularArray(two_n, mode, values)
+                routes = {"pfaffian_direct": pfaffian_direct, "determinant": determinant}
+                routes |= {f"hook {s}": lambda arr, s=s: hook(arr, s) for s in range(1, two_n + 1)}
+                routes["relabeled"] = lambda arr: pfaffian._pfaffian(
+                    arr.entries, tuple(rng.sample(range(1, two_n + 1), two_n)), pfaffian._domain(arr.entries)
+                )
+                for route, evaluate in routes.items():
+                    before = copy.deepcopy(arr.entries)
+                    evaluate(arr)
+                    if arr.entries != before:
+                        bad.append((name, mode, route))
+    return bad
+
+
+def test_any_order_relabels_by_its_sign():
+    # pf(P^T A P) = det P pf A: the contract every relabeling caller relies
+    # on, at random orders and not only the hook orders; and no route
+    # writes into the caller's entries
+    assert relabel_mismatches(random.Random(30)) == []
+    assert changed_entries(random.Random(31)) == []
+
+
 @pytest.mark.parametrize("fill", [_int, random_fraction], ids=["int", "Fraction"])
 def test_congruence_identity_past_the_enumeration_cap(rng, fill):
     # pf(B^T A B) = det B pf A for B = L D, L unit lower-triangular and D
@@ -218,7 +281,7 @@ def direct_sum_mismatches(rng, blocks=DIRECT_SUM_BLOCKS):
     return bad
 
 
-def test_direct_sum_past_the_memo_limit():
+def test_direct_sum_with_interleaved_labels():
     assert direct_sum_mismatches(random.Random(3)) == []
 
 
@@ -338,8 +401,9 @@ def test_float_hooks_are_the_elimination_of_the_relabeled_array(rng):
 
 def test_other_ring_routes_match_fractions(rng):
     # Decimal entries take the other-ring routes: the memoized expansion of
-    # `_pfaffian`, for the pfaffian and every hook, and the skew embedding of
-    # the determinant; each result must be a Decimal equal to the Fraction
+    # `_pfaffian`, for the pfaffian and every hook, and for the determinant
+    # its square in the skew mode and the expansion of the skew embedding in
+    # the symmetric one; each result must be a Decimal equal to the Fraction
     # route, also when row 1 holds only int zeros and the expansion meets no
     # Decimal along it
     for two_n in (4, 6):

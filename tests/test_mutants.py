@@ -4,8 +4,10 @@ A check that compares a route with itself passes whatever the route
 computes.  Each test here breaks one kernel, runs the check at a small n
 and requires a FAIL line for every n, after a clean run that passes; the
 `_bareiss_det` mutants must make the determinant oracle find a mismatch,
-the elimination mutants Schur's pfaffian at 2n = 20 and 40, and the swap
-mutant of `_pf_fraction_free` the exact direct-sum identity.
+the elimination mutants Schur's pfaffian at 2n = 20 and 40, the swap
+mutant of `_pf_fraction_free` the exact direct-sum identity, and a kernel
+that reads a pair reversed by its order without the sign the relabeling
+oracle, pf(P^T A P) = sgn(P) pf A, in that kernel's domains.
 """
 import inspect
 import random
@@ -14,7 +16,7 @@ import pytest
 
 from pf_oracles import cofactor_det
 from pfsym import cli, pfaffian, symmetry
-from test_elimination import direct_sum_mismatches, sym_det_mismatches
+from test_elimination import changed_entries, direct_sum_mismatches, relabel_mismatches, sym_det_mismatches
 from test_schur import schur_mismatches
 
 
@@ -74,9 +76,9 @@ def _drop_d_j(kernel):
 
 
 def _no_row_signs(kernel):
-    """`_pf_fraction_free` that reads a `negated` position without its sign,
-    so hook row s holds a(j,s) below s in place of -a(j,s)."""
-    return _rewritten(pfaffian, kernel, "-entries[(j, i)] for i, j in negated", "entries[(j, i)] for i, j in negated")
+    """`_pf_fraction_free` that reads a pair that `live` reverses without its
+    sign, so hook row s holds a(j,s) below s in place of -a(j,s)."""
+    return _rewritten(pfaffian, kernel, "else -entries[(k, i)]", "else entries[(k, i)]")
 
 
 def _no_hook_sign(kernel):
@@ -163,8 +165,9 @@ def test_check_fails_on_its_kernel_mutant(monkeypatch, capsys, check, n, module,
       an entry a(s, j) = 0 of their first row, take the wrong sign.
     - `_pfaffian` scaling a Fraction entry (i, j) by d_i alone: the hook
       expansions no longer equal the elimination.
-    - `_pf_fraction_free` reading a `negated` position without its sign:
-      every hook s > 1 loses the sign of -a(j,s) below s, and fails.
+    - `_pf_fraction_free` reading a pair that `live` reverses without its
+      sign: every hook s > 1 loses the sign of -a(j,s) below s, and fails,
+      while `pfaffian_direct`, whose order reverses no pair, is unaffected.
     - `_hook_expand` without the factor (-1)^(s-1): every even hook has the
       wrong sign.
     - `_cut_search` with beta = 0 only finds the rotations, order 2n of 4n.
@@ -221,3 +224,36 @@ def test_direct_sum_fails_on_the_swap_mutant(monkeypatch):
     # the mutant flips the sign where it swaps an odd number of times
     monkeypatch.setattr(pfaffian, "_pf_fraction_free", _no_sign_flip(pfaffian._pf_fraction_free))
     assert direct_sum_mismatches(random.Random(3)) == [14, 20, 24, 22]
+
+
+@pytest.mark.parametrize(
+    "target, old, new, domains",
+    [
+        ("_pf_fraction_free", "else -entries[(k, i)]", "else entries[(k, i)]", {"int", "Fraction"}),
+        (
+            "_pf_eliminate",
+            "a = [[a[i - 1][j - 1] for j in live] for i in live]",
+            "a = [[a[min(i, j) - 1][max(i, j) - 1] for j in live] for i in live]",
+            {"float"},
+        ),
+        ("_expand", "{(j, i): -v for", "{(j, i): v for", {"Poly", "Decimal"}),
+    ],
+    ids=["fraction-free", "float reindex", "expansion"],
+)
+def test_relabel_oracle_fails_on_its_mutant(monkeypatch, target, old, new, domains):
+    # each kernel reads a pair that `live` reverses without its sign: the
+    # relabeled pfaffian differs from sgn(live) pf in that kernel's domains
+    # alone, since the identity order of `pfaffian_direct` reverses no pair
+    assert relabel_mismatches(random.Random(30)) == []
+    monkeypatch.setattr(pfaffian, target, _rewritten(pfaffian, getattr(pfaffian, target), old, new))
+    assert {name for name, _ in relabel_mismatches(random.Random(30))} == domains
+
+
+def test_entries_check_fails_on_the_in_place_mutant(monkeypatch):
+    # `_expand` adding the reversed keys into the dict it was given writes
+    # them into the caller's array wherever it was not packed first: every
+    # other-ring hook s > 1 and relabeling, in both modes
+    assert changed_entries(random.Random(31)) == []
+    old = "entries = entries | {(j, i): -v for"
+    monkeypatch.setattr(pfaffian, "_expand", _rewritten(pfaffian, pfaffian._expand, old, "entries |= {(j, i): -v for"))
+    assert {name for name, _, _ in changed_entries(random.Random(31))} == {"Decimal"}

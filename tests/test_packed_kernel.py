@@ -7,8 +7,10 @@ matching sum or the cofactor expansion on arrays that mix position and
 generator variables, Fraction coefficients, int entries and zero Polys,
 including arrays whose result reaches the bound exactly at a power of two
 and one below it.  No route may multiply a Poly or raise one to a power:
-its products run on `_Packed` values.  A determinant, a hook expansion
-along any s and the pfaffian pack each entry once, in the skew mode too.
+its products run on `_Packed` values.  The one exception is the square
+pf * pf of a skew determinant at even size, which `Poly.__mul__` packs.
+A determinant, a hook expansion along any s and the pfaffian pack each
+entry once, in the skew mode too.
 """
 import random
 from fractions import Fraction
@@ -85,8 +87,9 @@ def test_packed_routes_match_the_oracles():
             entries = {p: _entry(rng) for p in upper_pairs(two_n)}
             entries[(1, 2)] = x(1) - 1  # at least one nonzero Poly
             _check_pfaffian_routes(entries, two_n, (two_n, trial))
-    for size in range(2, 6):
-        for trial in range(4):
+    for size in range(2, 7):
+        # the skew pf^2 route at 2, 4 and 6; the cofactor oracle has 720 leaves at 6
+        for trial in range(4 if size < 6 else 2):
             entries = {p: _entry(rng) for p in upper_pairs(size)}
             entries[(1, 2)] = a(1, 2) * x(3) + Fraction(1, 2)
             _check_determinants(entries, size, (size, trial))
@@ -134,18 +137,32 @@ def test_poly_routes_multiply_no_poly_monomials(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Poly was multiplied")
 
-    for name in ("__mul__", "__rmul__", "__pow__"):
+    products, mul = [], Poly.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    for name in ("__rmul__", "__pow__"):
         monkeypatch.setattr(Poly, name, refuse)
     for mode, hook in ((SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)):
         arr = TriangularArray(6, mode, entries)
         assert pfaffian_direct(arr) == want_pf
         assert all(hook(arr, s) == want_pf for s in range(1, 7))
         assert completed_determinant(5, mode, small) == want_det[mode]
+    assert products == []
+    # the skew determinant at even size is pf^2: one product, which
+    # `Poly.__mul__` runs on packed monomials
+    assert completed_determinant(6, SKEW, entries) == mul(want_pf, want_pf)
+    assert len(products) == 1
 
 
-@pytest.mark.parametrize("mode", [SYMMETRIC, SKEW])
-def test_determinants_pack_each_entry_once(monkeypatch, mode):
-    # the skew embedding holds v above and -v below; only v is handed to `_packing`
+@pytest.mark.parametrize("mode, size", [(SYMMETRIC, 5), (SKEW, 6)], ids=[SYMMETRIC, SKEW])
+def test_determinants_pack_each_entry_once(monkeypatch, mode, size):
+    # the embedding of a symmetric matrix holds each v in both halves, and a
+    # skew one of even size is pf^2, whose pfaffian packs its own entries:
+    # each v is handed to `_packing` once (an odd skew size expands nothing)
     handed, packing = [], pfaffian._packing
 
     def counting(values, factors):
@@ -154,17 +171,22 @@ def test_determinants_pack_each_entry_once(monkeypatch, mode):
         return packing(values, factors)
 
     monkeypatch.setattr(pfaffian, "_packing", counting)
-    entries = {(i, j): a(i, j) for i, j in upper_pairs(5)}
-    got = completed_determinant(5, mode, entries)
-    assert got == cofactor_det(completed_rows(5, mode, entries))
+    entries = {(i, j): a(i, j) for i, j in upper_pairs(size)}
+    got = completed_determinant(size, mode, entries)
+    assert got == cofactor_det(completed_rows(size, mode, entries))
     [values] = handed
-    # the ten generators, and the zero of the embedding's zero blocks
-    assert sum(isinstance(v, Poly) for v in values) == 10 and len(values) == 11
+    if mode == SYMMETRIC:
+        # the ten generators, and the zero of the embedding's zero blocks
+        assert sum(isinstance(v, Poly) for v in values) == 10 and len(values) == 11
+    else:
+        # the fifteen generators
+        assert len(values) == 15 and all(isinstance(v, Poly) for v in values)
 
 
 @pytest.mark.parametrize("mode, hook", [(SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)])
 def test_hooks_pack_each_entry_once(monkeypatch, mode, hook):
-    # the signs of hook row s go to `_expand` as positions, not as new -v objects
+    # the signs of hook row s come from the order, as negated packed values
+    # that `_expand` adds after packing, not as new -v objects
     handed, packing = [], pfaffian._packing
 
     def counting(values, factors):

@@ -66,5 +66,5 @@ def test_schur_closed_form_is_the_matching_sum():
         assert pfaffian_sum(schur_array(xs, SKEW)) == schur_pfaffian(xs), xs
 
 
-def test_schur_pfaffian_on_both_sides_of_the_memo_limit():
+def test_pfaffian_and_hooks_match_schur_closed_form():
     assert schur_mismatches(SIZES) == []
