@@ -12,13 +12,12 @@ Each route reads the scalar domain once (`_domain`) and returns its
 result in it; a determinant of ints is a Fraction.  `_pfaffian` alone
 picks a pfaffian algorithm, from the domain: floats take pivoted skew
 elimination in O(n^3) operations (`_pf_eliminate`), ints and Fractions
-the same elimination on integers at every 2n (`_pf_fraction_free`: each
-row scaled by the lcm of its denominators, each update divided exactly
-by the pivot before), Poly and other rings the memoized expansion
-`_subset_pf` up to 2n = EXPAND_CAP.  A relabeling is an order `live`
-alone, as every kernel reads a pair it reverses from the skew completion.
-`pfaffian_direct` and both hook rules (`_hook_expand`: hook s is
-(-1)^(s-1) times the pfaffian of the array relabeled to put s first)
+the same elimination on integers (`_pf_fraction_free`), Poly and other
+rings the memoized expansion `_subset_pf` up to 2n = EXPAND_CAP.  A
+relabeling is an order `live` alone: each kernel places entry (i, j) at
+the positions of i and j in `live` and its negative at the mirror
+position.  `pfaffian_direct` and both hook rules (`_hook_expand`: hook s
+is (-1)^(s-1) times the pfaffian of the array relabeled to put s first)
 call it.  A skew determinant is pf^2 (0 at odd size), and a symmetric
 one Bareiss elimination on integers (`_bareiss_det`) for numbers and
 `_expand` of the skew embedding [[0, M], [-M^T, 0]] for rings; `_expand`
@@ -212,19 +211,22 @@ def _expand(domain, entries: Mapping[tuple[int, int], object], live: tuple[int, 
     of the upper `entries`, relabeled on `live` as in `_pfaffian`, by
     `_subset_pf`.  Poly entries are packed (`polyring._packing`), so a
     product of monomials is one integer addition, and the sum is unpacked
-    into a Poly even when it is an int.  Unless `live` is 1..2n, each key
-    (j, i) is added as -entries[(i, j)], after packing, to a new dict.
-    Another ring's sum that met only int entries, such as the int 0 ending
-    a row of int zeros, takes the ring's zero."""
+    into a Poly even when it is an int.  A new dict keys each entry by the
+    positions of its labels in `live`, in increasing order, negated where
+    `live` reverses them.  Another ring's sum that met only int entries,
+    such as the int 0 ending a row of int zeros, takes the ring's zero."""
     if domain is Poly:
         # a value placed at several positions is one object, scanned and packed once
         distinct = {id(v): v for v in entries.values()}
         pack, unpack = _packing(distinct.values(), len(live) // 2)
         packed = {k: pack(v) for k, v in distinct.items()}
         entries = {p: packed[id(v)] for p, v in entries.items()}
-    if live != tuple(range(1, len(live) + 1)):
-        entries = entries | {(j, i): -v for (i, j), v in entries.items()}
-    total = _subset_pf(entries, live, {})
+    at = {i: u for u, i in enumerate(live)}
+    ordered = {}
+    for (i, j), v in entries.items():
+        u, t = at[i], at[j]
+        ordered[min(u, t), max(u, t)] = v if u < t else -v
+    total = _subset_pf(ordered, tuple(range(len(live))), {})
     if domain is Poly:
         return unpack(total)
     if domain is object and isinstance(total, int):
@@ -275,29 +277,23 @@ def pfaffian_direct(arr: TriangularArray):
 def _pfaffian(entries: Mapping[tuple[int, int], object], live: tuple[int, ...], domain):
     """Pfaffian in `domain` of the skew completion A of the upper `entries`,
     relabeled on `live`, an ordering of 1..2n: the array A[live[u]][live[v]],
-    whose pfaffian is sgn(live) pf A.  Each kernel reads a pair that `live`
-    puts in decreasing order, i > j, as -a(j, i), so the order alone names
-    the relabeling.  The one place that picks a pfaffian algorithm, from
-    the domain; see the module docstring.  A float result that is zero
-    or not finite has the entries scanned for a float +-inf or nan, which is
-    a ValueError naming it: elimination that meets one ends in such a result.
+    whose pfaffian is sgn(live) pf A.  Each kernel places a(i, j) at
+    (at[i], at[j]), at[i] the position of i in `live`, and -a(i, j) at the
+    mirror position.  The one place that picks a pfaffian algorithm; see
+    the module docstring.  A float result that is zero or not finite has
+    the entries scanned for a float +-inf or nan, a ValueError naming it:
+    elimination that meets one ends in such a result.
     """
-    two_n = len(live)
     if domain is float:
         value = _pf_eliminate(entries, live, float)
         if not (value and math.isfinite(value)):
             _refuse_non_finite(entries)
         return value
     if domain in (int, Fraction):
-        # pf(DAD) = det D pf A, D = diag(d_i) with d_i the lcm of the denominators of row i
-        d = [1] * (two_n + 1)
-        for (i, _), v in entries.items():
-            d[i] = math.lcm(d[i], v.denominator)
-        scaled = {(i, j): v.numerator * (d[i] * d[j] // v.denominator) for (i, j), v in entries.items()}
-        total = _pf_fraction_free(scaled, live)
-        return total if domain is int else Fraction(total, math.prod(d))
-    if two_n > EXPAND_CAP:
-        raise ValueError(f"two_n={two_n} exceeds the memoized-expansion cap {EXPAND_CAP}")
+        value = _pf_fraction_free(entries, live)
+        return value if domain is Fraction else value.numerator
+    if len(live) > EXPAND_CAP:
+        raise ValueError(f"two_n={len(live)} exceeds the memoized-expansion cap {EXPAND_CAP}")
     return _expand(domain, entries, live)
 
 
@@ -305,26 +301,25 @@ def _pf_eliminate(entries: Mapping[tuple[int, int], object], live: tuple[int, ..
     """Pfaffian of the skew completion of the upper `entries`, relabeled on
     `live` as in `_pfaffian`, by pivoted Schur elimination.
 
-    Parlett & Reid, BIT 10 (1970); Wimmer, ACM TOMS 38(4) (2012).  The
-    skew completion, cast to `cast` (float or Fraction), is reordered by
-    `live` unless it is 1..2n.  Each step eliminates the leading two rows
-    and columns: the pivot column is swapped into position 1 (a swap flips
-    the sign) and p = a[0][1] becomes a factor of the result; with u, v the
-    rows 0 and 1, the trailing block then takes the Schur complement update
-    a[i][j] += (v[i]*u[j] - u[i]*v[j]) / p.
-    The update is skew, so it is computed above the diagonal and mirrored.
+    Parlett & Reid, BIT 10 (1970); Wimmer, ACM TOMS 38(4) (2012).  Each
+    entry, cast to `cast` (float or Fraction), is placed once, in the order
+    `live`.  Each step swaps the pivot column into position 1 (a swap flips
+    the sign), takes p = a[0][1] as a factor of the result and, with u, v
+    the rows 0 and 1, updates the trailing block to its Schur complement
+    a[i][j] + (v[i]*u[j] - u[i]*v[j]) / p, above the diagonal and mirrored.
     Floats pivot on the entry of largest magnitude, Fractions on the first
     nonzero entry.  `_pfaffian` runs it on floats; in Fractions it is the
     independent route of `verify hook-oracle` and `skew-det` and the tests.
     """
     size = len(live)
+    at = [0] * (size + 1)
+    for u, i in enumerate(live):
+        at[i] = u
     a = [[0] * size for _ in range(size)]
     for (i, j), v in entries.items():
-        w = cast(v)
-        a[i - 1][j - 1] = w
-        a[j - 1][i - 1] = -w
-    if live != tuple(range(1, size + 1)):
-        a = [[a[i - 1][j - 1] for j in live] for i in live]
+        u, t = at[i], at[j]
+        a[u][t] = w = cast(v)
+        a[t][u] = -w
     result = cast(1)
     while a:
         row = a[0]
@@ -348,17 +343,17 @@ def _pf_eliminate(entries: Mapping[tuple[int, int], object], live: tuple[int, ..
         b = [[0] * m for _ in range(m)]
         for i, (ui, vi, r) in enumerate(zip(u, v, a[2:])):
             for j in range(i + 1, m):
-                w = r[j + 2] + vi * u[j] - ui * v[j]
-                b[i][j] = w
+                b[i][j] = w = r[j + 2] + vi * u[j] - ui * v[j]
                 b[j][i] = -w
         a = b
     return result
 
 
-def _pf_fraction_free(entries: Mapping[tuple[int, int], int], live: tuple[int, ...]) -> int:
-    """Pfaffian, an int, of the skew completion of the int upper `entries`,
-    relabeled on `live` as in `_pfaffian` (a pair i > k reads -a(k, i)),
-    by fraction-free pivoted skew elimination.
+def _pf_fraction_free(entries: Mapping[tuple[int, int], object], live: tuple[int, ...]) -> Fraction:
+    """Pfaffian, a Fraction, of the skew completion of the int or Fraction
+    upper `entries`, relabeled on `live` as in `_pfaffian`, by fraction-free
+    pivoted skew elimination on the ints d_i d_j a(i, j), with d_i the lcm
+    of the denominators of row i; pf(DAD) = det D pf A undoes the scaling.
 
     As in `_pf_eliminate`, the first nonzero entry of row 0 is swapped into
     position 1 (a swap flips the sign) and p = a[0][1]; with u, v the rows
@@ -370,19 +365,24 @@ def _pf_fraction_free(entries: Mapping[tuple[int, int], int], live: tuple[int, .
     Math. Comp. 22, 1968), and the last pivot is the pfaffian.
     """
     size = len(live)
-    a = [[0] * size for _ in range(size)]
+    # pf(DAD) = det D pf A, D = diag(d_i) with d_i the lcm of the denominators of row i
+    d = [1] * (size + 1)
+    for (i, _), v in entries.items():
+        d[i] = math.lcm(d[i], v.denominator)
+    at = [0] * (size + 1)
     for u, i in enumerate(live):
-        row = a[u]
-        for v in range(u + 1, size):
-            k = live[v]
-            row[v] = w = entries[(i, k)] if i < k else -entries[(k, i)]
-            a[v][u] = -w
+        at[i] = u
+    a = [[0] * size for _ in range(size)]
+    for (i, j), v in entries.items():
+        u, t = at[i], at[j]
+        a[u][t] = w = v.numerator * (d[i] * d[j] // v.denominator)
+        a[t][u] = -w
     sign = prev = 1
     while a:
         row = a[0]
         piv = 1 if row[1] else next((j for j in range(2, len(row)) if row[j]), 0)
         if not piv:
-            return 0
+            return Fraction(0)
         if piv != 1:
             a[1], a[piv] = a[piv], a[1]
             for r in a:
@@ -397,7 +397,7 @@ def _pf_fraction_free(entries: Mapping[tuple[int, int], int], live: tuple[int, .
                 bi[j] = w = (p * r[j + 2] - ui * v[j] + vi * u[j]) // prev
                 b[j][i] = -w
         a, prev = b, p
-    return sign * prev
+    return Fraction(sign * prev, math.prod(d))
 
 
 def generic_pfaffian(two_n: int) -> Poly:
@@ -463,9 +463,9 @@ def _hook_expand(arr: TriangularArray, s: int, mode: str):
     whose row s holds a(s,j) for j > s and -a(j,s) for j < s, times
     (-1)^(s-1), as `_subset_pf` signs partner j by its position
     t = j - [j > s].  That expansion is the pfaffian of the relabeled
-    array, so every hook equals the pfaffian.  `_pfaffian` reads the pairs
-    (s, j), j < s, that `live` reverses as -a(j, s).  A float result that
-    overflowed is a ValueError.
+    array, so every hook equals the pfaffian.  `_pfaffian` places each pair
+    (j, s), j < s, that `live` reverses as -a(j, s) in row s.  A float
+    result that overflowed is a ValueError.
     """
     if arr.mode != mode:
         raise ValueError(f"{mode} hook expansion needs a {mode} array, got mode {arr.mode!r}")

@@ -21,7 +21,7 @@ import copy
 import math
 import random
 import re
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -405,14 +405,17 @@ def test_other_ring_routes_match_fractions(rng):
     # its square in the skew mode and the expansion of the skew embedding in
     # the symmetric one; each result must be a Decimal equal to the Fraction
     # route, also when row 1 holds only int zeros and the expansion meets no
-    # Decimal along it
+    # Decimal along it, and when the one Decimal entry is a zero, so that
+    # every term the expansion meets is a product of ints
     for two_n in (4, 6):
-        for case in range(5):
+        for case in range(6):
             values = {p: Decimal(rng.randint(-99, 99)).scaleb(-1) for p in upper_pairs(two_n)}
             if case == 0:
                 values |= {p: Decimal(0) for p in values if 2 in p}
             if case == 4:
                 values |= {p: 0 for p in values if p[0] == 1}
+            if case == 5:
+                values = {p: rng.randint(1, 9) for p in values} | {(1, 2): Decimal(0)}
             for mode, hook in ((SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)):
                 routes = [pfaffian_direct, determinant] + [lambda arr, s=s: hook(arr, s) for s in range(1, two_n + 1)]
                 got = [route(TriangularArray(two_n, mode, values)) for route in routes]
@@ -532,6 +535,25 @@ def test_poly_arrays_keep_the_enumeration_cap():
         pfaffian_direct(_array(18, SKEW, a))
 
 
+def _cycle(two_n):
+    """The cycle 1, 2, ..., 2n, 1 weighted by generators: a(i, i+1) and a(1, 2n), zero elsewhere."""
+    return _array(two_n, SKEW, lambda i, j: a(i, j) if j == i + 1 or (i, j) == (1, two_n) else 0)
+
+
+def test_poly_arrays_expand_at_the_cap():
+    # EXPAND_CAP is the largest 2n expanded, not a bound below it: the
+    # sparse cycle at 2n = 16 has two matchings, both of sign +1, and at 18
+    # it is refused
+    odd = even = Poly.const(1)
+    for k in range(1, 9):
+        odd = odd * a(2 * k - 1, 2 * k)
+    for k in range(1, 8):
+        even = even * a(2 * k, 2 * k + 1)
+    assert pfaffian_direct(_cycle(16)) == odd + a(1, 16) * even
+    with pytest.raises(ValueError, match="^two_n=18 exceeds the memoized-expansion cap 16$"):
+        pfaffian_direct(_cycle(18))
+
+
 def _refuse_expansion(*args):
     raise AssertionError("the refusal must come before any expansion")
 
@@ -543,6 +565,23 @@ def test_poly_hooks_keep_the_expansion_cap(monkeypatch, mode, expand):
     monkeypatch.setattr(pfaffian, "_expand", _refuse_expansion)
     with pytest.raises(ValueError, match="^two_n=18 exceeds the memoized-expansion cap 16$"):
         expand(_array(18, mode, a), 1)
+
+
+@pytest.mark.parametrize("mode", [SYMMETRIC, SKEW])
+def test_float_determinant_overflow_names_its_exponent(rng, mode):
+    # entries k + 1/2 with k near 10^15 keep the denominator 2^22 in the
+    # exact determinant, so the exponent in the message must take the
+    # logarithm of the denominator off; Decimal digits of the exact value
+    # are the independent measure
+    size = 22
+    entries = {p: rng.randint(10**15, 2 * 10**15) + 0.5 for p in upper_pairs(size)}
+    exact = completed_determinant(size, mode, {p: Fraction(v) for p, v in entries.items()})
+    assert exact.denominator > 1
+    with localcontext() as context:
+        context.prec = 50
+        e = round((Decimal(abs(exact.numerator)) / exact.denominator).log10())
+    with pytest.raises(ValueError, match=re.escape(f"(|det| is about 10^{e})")):
+        completed_determinant(size, mode, entries)
 
 
 def _poly_cases(two_n, mode):

@@ -1,8 +1,8 @@
 """Fraction hook expansions on integers, against two oracles.
 
-A Fraction hook expansion scales entry (i, j) by d_i d_j, with d_i the
-lcm of the denominators of row i, runs `_pf_fraction_free` on those ints
-and divides by the product of the d_i: pf(DAD) = det D pf A.  Every hook
+A Fraction hook expansion runs `_pf_fraction_free`, which places entry
+(i, j) as the int d_i d_j a(i, j), with d_i the lcm of the denominators
+of row i, and divides by the product of the d_i: pf(DAD) = det D pf A.  Every hook
 of both modes, at 2n = 2 to 14, must equal the paper's rule with its
 minors evaluated by `_subset_pf` on the Fraction entries themselves (the
 unscaled route), and the pfaffian by `_pf_eliminate` in Fractions, which

@@ -5,9 +5,10 @@ computes.  Each test here breaks one kernel, runs the check at a small n
 and requires a FAIL line for every n, after a clean run that passes; the
 `_bareiss_det` mutants must make the determinant oracle find a mismatch,
 the elimination mutants Schur's pfaffian at 2n = 20 and 40, the swap
-mutant of `_pf_fraction_free` the exact direct-sum identity, and a kernel
-that reads a pair reversed by its order without the sign the relabeling
-oracle, pf(P^T A P) = sgn(P) pf A, in that kernel's domains.
+mutant of `_pf_fraction_free` the exact direct-sum identity, a kernel
+that places a pair reversed by its order without the sign the relabeling
+oracle, pf(P^T A P) = sgn(P) pf A, in that kernel's domains, and
+`symmetry_group` with corrupted orbits the scan of S_m.
 """
 import inspect
 import random
@@ -18,6 +19,7 @@ from pf_oracles import cofactor_det
 from pfsym import cli, pfaffian, symmetry
 from test_elimination import changed_entries, direct_sum_mismatches, relabel_mismatches, sym_det_mismatches
 from test_schur import schur_mismatches
+from test_symmetry import group_mismatches
 
 
 def _verify(capsys, check: str, n: str):
@@ -70,15 +72,21 @@ def _no_sign_flip(kernel):
 
 
 def _drop_d_j(kernel):
-    """`_pfaffian` that scales entry (i, j) of a Fraction array by d_i only,
-    not d_i d_j, so the products of a matching no longer share one factor."""
+    """`_pf_fraction_free` that scales entry (i, j) of a Fraction array by
+    d_i only, not d_i d_j, so the products of a matching no longer share
+    one factor."""
     return _rewritten(pfaffian, kernel, "(d[i] * d[j] // v.denominator)", "(d[i] // v.denominator)")
 
 
+# a kernel that places a pair that `live` reverses without its sign: entry
+# (i, j) goes above the diagonal at the positions of i and j in either order
+UNSIGNED = ("u, t = at[i], at[j]\n", "u, t = sorted((at[i], at[j]))\n")
+
+
 def _no_row_signs(kernel):
-    """`_pf_fraction_free` that reads a pair that `live` reverses without its
-    sign, so hook row s holds a(j,s) below s in place of -a(j,s)."""
-    return _rewritten(pfaffian, kernel, "else -entries[(k, i)]", "else entries[(k, i)]")
+    """`_pf_fraction_free` that places a pair that `live` reverses without
+    its sign, so hook row s holds a(j,s) below s in place of -a(j,s)."""
+    return _rewritten(pfaffian, kernel, *UNSIGNED)
 
 
 def _no_hook_sign(kernel):
@@ -115,7 +123,7 @@ THEOREM1 = "theorem1 n={} [symmetric-gens/{}] residual=0"
             ],
         ),
         (
-            "hook-oracle", "2..3", pfaffian, "_pfaffian", _drop_d_j,
+            "hook-oracle", "2..3", pfaffian, "_pf_fraction_free", _drop_d_j,
             [
                 (f"hook-oracle n={n} [exact,both modes,50 arrays] residual=0",
                  "hook expansions", "direct pfaffian")
@@ -163,9 +171,9 @@ def test_check_fails_on_its_kernel_mutant(monkeypatch, capsys, check, n, module,
       not catch this mutant, because pf squared hides the sign.
     - `_pf_fraction_free` without that sign flip: the hooks that swap, on
       an entry a(s, j) = 0 of their first row, take the wrong sign.
-    - `_pfaffian` scaling a Fraction entry (i, j) by d_i alone: the hook
-      expansions no longer equal the elimination.
-    - `_pf_fraction_free` reading a pair that `live` reverses without its
+    - `_pf_fraction_free` scaling a Fraction entry (i, j) by d_i alone: the
+      hook expansions no longer equal the elimination.
+    - `_pf_fraction_free` placing a pair that `live` reverses without its
       sign: every hook s > 1 loses the sign of -a(j,s) below s, and fails,
       while `pfaffian_direct`, whose order reverses no pair, is unaffected.
     - `_hook_expand` without the factor (-1)^(s-1): every even hook has the
@@ -227,33 +235,40 @@ def test_direct_sum_fails_on_the_swap_mutant(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "target, old, new, domains",
+    "target, domains",
     [
-        ("_pf_fraction_free", "else -entries[(k, i)]", "else entries[(k, i)]", {"int", "Fraction"}),
-        (
-            "_pf_eliminate",
-            "a = [[a[i - 1][j - 1] for j in live] for i in live]",
-            "a = [[a[min(i, j) - 1][max(i, j) - 1] for j in live] for i in live]",
-            {"float"},
-        ),
-        ("_expand", "{(j, i): -v for", "{(j, i): v for", {"Poly", "Decimal"}),
+        ("_pf_fraction_free", {"int", "Fraction"}),
+        ("_pf_eliminate", {"float"}),
+        ("_expand", {"Poly", "Decimal"}),
     ],
-    ids=["fraction-free", "float reindex", "expansion"],
+    ids=["fraction-free", "float elimination", "expansion"],
 )
-def test_relabel_oracle_fails_on_its_mutant(monkeypatch, target, old, new, domains):
-    # each kernel reads a pair that `live` reverses without its sign: the
+def test_relabel_oracle_fails_on_its_mutant(monkeypatch, target, domains):
+    # each kernel places a pair that `live` reverses without its sign: the
     # relabeled pfaffian differs from sgn(live) pf in that kernel's domains
     # alone, since the identity order of `pfaffian_direct` reverses no pair
     assert relabel_mismatches(random.Random(30)) == []
-    monkeypatch.setattr(pfaffian, target, _rewritten(pfaffian, getattr(pfaffian, target), old, new))
+    monkeypatch.setattr(pfaffian, target, _rewritten(pfaffian, getattr(pfaffian, target), *UNSIGNED))
     assert {name for name, _ in relabel_mismatches(random.Random(30))} == domains
 
 
 def test_entries_check_fails_on_the_in_place_mutant(monkeypatch):
-    # `_expand` adding the reversed keys into the dict it was given writes
-    # them into the caller's array wherever it was not packed first: every
-    # other-ring hook s > 1 and relabeling, in both modes
+    # `_expand` writing each value it places back into the dict it was
+    # given negates, in the caller's array, every pair that `live` reverses
+    # wherever the entries were not packed first: every other-ring hook
+    # s > 1 and relabeling, in both modes
     assert changed_entries(random.Random(31)) == []
-    old = "entries = entries | {(j, i): -v for"
-    monkeypatch.setattr(pfaffian, "_expand", _rewritten(pfaffian, pfaffian._expand, old, "entries |= {(j, i): -v for"))
+    old = "ordered[min(u, t), max(u, t)] = "
+    new = old + "entries[i, j] = "
+    monkeypatch.setattr(pfaffian, "_expand", _rewritten(pfaffian, pfaffian._expand, old, new))
     assert {name for name, _, _ in changed_entries(random.Random(31))} == {"Decimal"}
+
+
+def test_group_scan_fails_on_the_orbit_mutant(monkeypatch):
+    # the coset pruning files each new element h of H under the orbit of
+    # its first moved point k; filing it at h[k] - 2 in place of the 0-based
+    # image h[k] - 1 corrupts the orbits, so the search prunes members
+    assert group_mismatches(random.Random(17)) == []
+    mutant = _rewritten(symmetry, symmetry.symmetry_group, "j = h[k] - 1\n", "j = h[k] - 2\n")
+    monkeypatch.setattr(symmetry, "symmetry_group", mutant)
+    assert group_mismatches(random.Random(17)) != []

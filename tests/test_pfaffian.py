@@ -84,7 +84,7 @@ def test_pfaffian_squared_differences_value():
 
 
 def test_generic_pfaffian_term_structure():
-    for two_n in (2, 4, 6, 8):
+    for two_n in (0, 2, 4, 6, 8):
         pf = generic_pfaffian(two_n)
         assert len(pf) == matching_count(two_n)
         assert all(coeff in (1, -1) for _, coeff in pf.terms())

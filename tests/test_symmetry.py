@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +16,7 @@ from pfsym.permutations import (
     generate_subgroup,
     identity,
 )
-from pfsym.polyring import Poly, a, x
+from pfsym.polyring import Poly, a, gen, pos, x
 from pfsym import symmetry
 from pfsym.symmetry import (
     SKEW_GENS,
@@ -60,6 +62,28 @@ def test_act_skew_sign_respects_exponents():
     swap = Permutation([2, 1])
     assert act(swap, a(1, 2) ** 2, SKEW_GENS) == a(1, 2) ** 2
     assert act(swap, a(1, 2), SKEW_GENS) == -a(1, 2)
+
+
+def test_act_matches_evaluation_at_a_relabeled_point(rng):
+    # act(p, f) at a point is f at the point relabeled through q = p^{-1},
+    # with a(u, w) read below the diagonal as a(w, u), or as -a(w, u) on
+    # skew generators: an oracle that shares nothing with `_relabel`.  The
+    # odd exponents 3 and 5 across a reversed pair carry the skew sign
+    m = 5
+    f = 3 * a(1, 2) ** 3 * a(2, 4) + a(1, 5) ** 5 * x(2) - 2 * a(3, 4) ** 3 * a(2, 5) ** 2 + x(1) ** 3 * a(4, 5)
+    point = {pos(i): Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for i in range(1, m + 1)}
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    point |= {gen(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for i, j in pairs}
+    for _ in range(20):
+        p = Permutation(rng.sample(range(1, m + 1), m))
+        q = p.inverse().images
+        for mode, below in ((SYMMETRIC_GENS, 1), (SKEW_GENS, -1)):
+            def entry(u, w):
+                return point[gen(u, w)] if u < w else below * point[gen(w, u)]
+
+            moved = {pos(i): point[pos(q[i - 1])] for i in range(1, m + 1)}
+            moved |= {gen(i, j): entry(q[i - 1], q[j - 1]) for i, j in pairs}
+            assert act(p, f, mode).eval_rational(point) == f.eval_rational(moved), (p, mode)
 
 
 def test_act_index_out_of_range():
@@ -135,10 +159,38 @@ def test_group_report_requires_closure():
         make_group_report([sigma], 4)
 
 
+def test_closure_names_an_escaping_pair():
+    # on random sets that are not closed, the refusal names a member g and
+    # a permutation h of the same size whose product g o h (k -> g(h(k)))
+    # is not a member
+    rng = random.Random(3)
+    for m in (3, 4, 5):
+        every = [p.images for p in enumerate_sym(m)]
+        for _ in range(100):
+            members = {identity(m).images, *rng.sample(every, rng.randint(1, 6))}
+            try:
+                _check_closure(members)
+            except RuntimeError as refusal:
+                named = re.fullmatch(r"symmetry set is not closed: (\(.*\)) o (\(.*\)) escapes", str(refusal))
+                g, h = (tuple(map(int, t.strip("()").split(", "))) for t in named.groups())
+                assert g in members and sorted(h) == list(range(1, m + 1)), (members, g, h)
+                assert tuple(g[k - 1] for k in h) not in members
+
+
 def test_group_report_rejects_repeated_members():
-    # the order counts members, so a repeat would report order 3 here
+    # the order counts members, so a repeat would report order 3 here; the
+    # message names the repeated member, not the first one listed
     with pytest.raises(ValueError, match=r"repeats Permutation\(\[1, 2\]\)"):
         make_group_report([identity(2), identity(2), Permutation([2, 1])], 2)
+    with pytest.raises(ValueError, match=r"repeats Permutation\(\[2, 1\]\)"):
+        make_group_report([Permutation([2, 1]), identity(2), Permutation([2, 1])], 2)
+
+
+def test_group_report_compares_with_d2():
+    # at m = 2 the reflection tau is the identity, so <sigma, tau> is S_2
+    assert make_group_report(list(enumerate_sym(2)), 2).equals_dihedral is True
+    trivial = make_group_report([identity(2)], 2)
+    assert trivial.equals_dihedral is False and trivial.witness == Permutation([2, 1])
 
 
 def _closed_pairwise(images):
@@ -428,3 +480,65 @@ def test_backtrack_prunes_membership_tests(membership_tests):
     membership_tests.clear()
     assert symmetry_group(g_poly(6), 6, SYMMETRIC_GENS).order == 12
     assert len(membership_tests) <= 12
+
+
+def _random_subgroup(rng, m):
+    """A random cyclic subgroup of S_m, or the dihedral group of a random
+    k-gon on k of the m points (k >= 3), each vertex a random point."""
+    if m < 3 or rng.random() < 0.5:
+        return generate_subgroup([Permutation(rng.sample(range(1, m + 1), m))])
+    corners = rng.sample(range(1, m + 1), rng.randint(3, m))
+    rotation, reflection = list(range(1, m + 1)), list(range(1, m + 1))
+    for t, c in enumerate(corners):
+        rotation[c - 1] = corners[(t + 1) % len(corners)]
+        reflection[c - 1] = corners[-t]
+    return generate_subgroup([Permutation(rotation), Permutation(reflection)])
+
+
+def _symmetrized(rng, m, mode, signed):
+    """A sum of a few random monomials in x_1..x_m and the a(i, j), with
+    exponents 1..4, summed over the images under a random subgroup, each
+    odd image negated when `signed`, so that the subgroup acts on it as
+    Sym or SSym asks."""
+    pool = [x(i) for i in range(1, m + 1)] + [a(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    seed = Poly.zero()
+    for _ in range(rng.randint(1, 3)):
+        term = Poly.const(rng.choice((-3, -1, 1, 2, 4)))
+        for v in rng.sample(pool, rng.randint(1, min(3, len(pool)))):
+            term = term * v ** rng.randint(1, 4)
+        seed = seed + term
+    total = Poly.zero()
+    for h in _random_subgroup(rng, m):
+        image = act(h, seed, mode)
+        total = total - image if signed and h.sign == -1 else total + image
+    return total
+
+
+# (m, cases per mode and sign): the S_m scan costs m! actions per case
+GROUP_CASES = ((2, 3), (3, 4), (4, 5), (5, 5), (6, 3), (7, 1))
+
+
+def group_mismatches(rng):
+    """The (m, mode, signed, poly) of each random symmetrized polynomial on
+    which `symmetry_group` differs from the definition, the scan of S_m by
+    `act`, in both generator modes, signed and not."""
+    bad = []
+    for m, cases in GROUP_CASES:
+        for mode in (SYMMETRIC_GENS, SKEW_GENS):
+            for signed in (False, True):
+                for _ in range(cases):
+                    f = _symmetrized(rng, m, mode, signed)
+                    scan = tuple(
+                        p for p in enumerate_sym(m) if act(p, f, mode) == (-f if signed and p.sign == -1 else f)
+                    )
+                    if symmetry.symmetry_group(f, m, mode, signed=signed).elements != scan:
+                        bad.append((m, mode, signed, f))
+    return bad
+
+
+def test_symmetry_group_matches_the_scan_on_random_symmetrized_polynomials():
+    # the coset pruning meets groups of every shape, not only the
+    # structured ones of g and the generic pfaffian
+    assert group_mismatches(random.Random(17)) == []
+    f = 4 * x(2) ** 2 * x(5) ** 4 + 4 * x(2) ** 4 * x(4) ** 2 + 4 * x(4) ** 4 * x(5) ** 2
+    assert symmetry_group(f, 5, SYMMETRIC_GENS).order == 6
