@@ -343,7 +343,8 @@ def _pf_eliminate(entries: Mapping[tuple[int, int], object], live: tuple[int, ..
         b = [[0] * m for _ in range(m)]
         for i, (ui, vi, r) in enumerate(zip(u, v, a[2:])):
             for j in range(i + 1, m):
-                b[i][j] = w = r[j + 2] + vi * u[j] - ui * v[j]
+                w = r[j + 2] + vi * u[j] - ui * v[j]
+                b[i][j] = w
                 b[j][i] = -w
         a = b
     return result
@@ -369,9 +370,7 @@ def _pf_fraction_free(entries: Mapping[tuple[int, int], object], live: tuple[int
     d = [1] * (size + 1)
     for (i, _), v in entries.items():
         d[i] = math.lcm(d[i], v.denominator)
-    at = [0] * (size + 1)
-    for u, i in enumerate(live):
-        at[i] = u
+    at = {i: u for u, i in enumerate(live)}
     a = [[0] * size for _ in range(size)]
     for (i, j), v in entries.items():
         u, t = at[i], at[j]

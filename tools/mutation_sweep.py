@@ -1,21 +1,19 @@
 #!/usr/bin/env python3
 """Mutation sweep: how many one-token edits of a module its tests notice.
 
-    python3 tools/mutation_sweep.py src/pfsym/pfaffian.py tests/test_pfaffian.py \\
-        tests/test_elimination.py --functions _pf_eliminate,_pf_fraction_free,_expand
+    PYTHONPATH=src python3 tools/mutation_sweep.py src/pfsym/MODULE.py -- tests --ignore=tests/test_mutants.py
 
-Run it from the root of a checkout.  Each mutant changes one token of the
-module, inside the named top-level functions (all of them by default):
-it swaps an arithmetic, comparison or boolean operator, adds 1 to an int
-constant, or drops a unary minus or `not`.  The mutant is written into a
-copy of the module's package in a temporary directory, put first on
-PYTHONPATH, and the given test files run against it in a fresh process
-(pytest -x); the mutant is killed when they fail or time out.  It prints
-each survivor, then the score of each function and of the module.  Pass
-no test file that rebuilds kernels from their source text (such as
-tests/test_mutants.py): an edit on a line it looks for fails it
-whatever the edit does.  Standard library only; not part of the tier-1
-suite.
+Run it from the root of a checkout.  Each mutant changes one token inside
+one of the module's top-level functions: it swaps an arithmetic,
+comparison or boolean operator, adds 1 to an int constant, or drops a
+unary minus or `not`.  The mutant is written into a copy of the module's
+package in a temporary directory, put first on PYTHONPATH, and pytest -x
+runs the arguments after `--` against it in a fresh process; the mutant
+is killed when they fail or run past TIMEOUT seconds.  It prints each
+survivor, then the score of each function and of the module.  Leave out
+tests that rebuild kernels from their source text (tests/test_mutants.py):
+an edit on a line they look for fails them whatever the edit does.
+Standard library only; not part of the tier-1 suite.
 """
 from __future__ import annotations
 
@@ -35,6 +33,9 @@ SWAPS = {
     "in": "not in", "not in": "in", "is": "is not", "is not": "is", "and": "or", "or": "and",
 }
 
+# seconds one mutant's test run may take; a run past it kills the mutant
+TIMEOUT = 300
+
 
 def _gaps(node):
     """The (left, right) nodes around each operator token of `node`."""
@@ -50,7 +51,7 @@ def _gaps(node):
     return []
 
 
-def mutants(source: str, functions: set[str] | None):
+def mutants(source: str):
     """Each mutant as (function, line number, old text, new text, mutated source)."""
     lines = source.splitlines(keepends=True)
 
@@ -62,7 +63,7 @@ def mutants(source: str, functions: set[str] | None):
         return row, old.strip(" ()"), new.strip(" ()"), "".join(mutated)
 
     for top in ast.parse(source).body:
-        if not isinstance(top, ast.FunctionDef) or (functions and top.name not in functions):
+        if not isinstance(top, ast.FunctionDef):
             continue
         found = []
         for node in ast.walk(top):
@@ -91,12 +92,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", type=Path)
     parser.add_argument("tests", nargs="+")
-    parser.add_argument("--functions", help="comma-separated top-level functions to mutate (default: all)")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant; a timeout kills it")
     args = parser.parse_args()
     package = args.module.resolve().parent
     source = args.module.read_text()
-    functions = set(args.functions.split(",")) if args.functions else None
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(package, Path(tmp) / package.name, ignore=shutil.ignore_patterns("__pycache__"))
         target = Path(tmp) / package.name / args.module.name
@@ -107,7 +105,7 @@ def main() -> int:
         def killed(text: str) -> bool:
             target.write_text(text)
             try:
-                return subprocess.run(command, env=env, capture_output=True, timeout=args.timeout).returncode != 0
+                return subprocess.run(command, env=env, capture_output=True, timeout=TIMEOUT).returncode != 0
             except subprocess.TimeoutExpired:
                 return True
 
@@ -115,7 +113,7 @@ def main() -> int:
             print("the tests fail on the unmutated module", file=sys.stderr)
             return 2
         total, dead = Counter(), Counter()
-        for function, row, old, new, mutated in mutants(source, functions):
+        for function, row, old, new, mutated in mutants(source):
             total[function] += 1
             if killed(mutated):
                 dead[function] += 1
