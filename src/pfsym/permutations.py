@@ -13,23 +13,37 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 # the one cap on m wherever S_m or a subgroup is listed element by element:
-# listing and certifying all of S_8 (Sym of a constant, or SSym of the skew
-# generic pfaffian) takes 0.25-0.45 s (2-core VM, Python 3.11), and m = 9 has
-# nine times as many elements
+# listing and certifying all of S_8 takes 0.17-0.25 s by the polynomial
+# action (Sym of a constant, or SSym of the skew generic pfaffian) and
+# 0.09-0.12 s by `pfaffian_symmetry_group` (SSym of the skew pfaffian) on a
+# 2-core VM with Python 3.11.7, and m = 9 has nine times as many elements
 SYM_CAP = 8
 
 
 class Permutation:
     """A permutation of {1..m}, immutable and hashable."""
 
-    __slots__ = ("images", "_sign")
+    __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images!r}")
         self.images = images
-        self._sign: int | None = None
+
+    @classmethod
+    def _of(cls, images: tuple[int, ...]) -> Permutation:
+        """The Permutation with these images, without the bijection check.
+
+        Only for a tuple that this package built as a permutation of 1..m:
+        the identity, a row of itertools.permutations, a member of an
+        `add_generator` closure, a product or inverse of Permutations, a
+        dihedral element, the order at a `_cut_search` leaf.  Anything else
+        goes through Permutation(...), which refuses a non-bijection.
+        """
+        p = cls.__new__(cls)
+        p.images = images
+        return p
 
     @property
     def size(self) -> int:
@@ -42,22 +56,14 @@ class Permutation:
 
     @property
     def sign(self) -> int:
-        """Parity of the inversion count: +1 for even, -1 for odd."""
-        if self._sign is None:
-            inv = 0
-            im = self.images
-            for i in range(len(im)):
-                for j in range(i + 1, len(im)):
-                    if im[i] > im[j]:
-                        inv += 1
-            self._sign = -1 if inv % 2 else 1
-        return self._sign
+        """+1 for even, -1 for odd: (-1)^(m - #cycles), by `images_sign` in O(m)."""
+        return images_sign(self.images)
 
     def inverse(self) -> Permutation:
         inv = [0] * len(self.images)
         for k, v in enumerate(self.images, start=1):
             inv[v - 1] = k
-        return Permutation(inv)
+        return Permutation._of(tuple(inv))
 
     def to_json(self) -> list[int]:
         return list(self.images)
@@ -75,15 +81,32 @@ class Permutation:
         return f"Permutation({list(self.images)})"
 
 
+def images_sign(images: tuple[int, ...]) -> int:
+    """The sign of the permutation of 1..m with these images, (-1)^(m - #cycles).
+
+    One pass over the points walks each cycle once, from the first of its
+    points that the pass meets, so the cost is O(m).
+    """
+    seen = [False] * (len(images) + 1)
+    rest = len(images)  # m minus the cycles walked so far
+    for j in images:
+        if not seen[j]:
+            rest -= 1
+            while not seen[j]:
+                seen[j] = True
+                j = images[j - 1]
+    return -1 if rest % 2 else 1
+
+
 def identity(m: int) -> Permutation:
-    return Permutation(range(1, m + 1))
+    return Permutation._of(tuple(range(1, m + 1)))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """The composition p after q: (p . q)(k) = p(q(k))."""
     if p.size != q.size:
         raise ValueError(f"size mismatch: {p.size} vs {q.size}")
-    return Permutation(p.images[v - 1] for v in q.images)
+    return Permutation._of(tuple([p.images[v - 1] for v in q.images]))
 
 
 def sign(p: Permutation) -> int:
@@ -109,7 +132,7 @@ def enumerate_sym(m: int) -> Iterator[Permutation]:
     """
     check_sym_size(m)
     for images in itertools.permutations(range(1, m + 1)):
-        yield Permutation(images)
+        yield Permutation._of(images)
 
 
 def dihedral_generators(m: int) -> tuple[Permutation, Permutation]:
@@ -178,7 +201,7 @@ def generate_subgroup(gens: list[Permutation], size: int | None = None) -> list[
     spanning: list[tuple[int, ...]] = []
     for g in gens:
         add_generator(group, spanning, g.images)
-    return [Permutation(images) for images in sorted(group)]
+    return [Permutation._of(images) for images in sorted(group)]
 
 
 ONE_UP_RUN = "one-up-run"

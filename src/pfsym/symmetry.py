@@ -10,16 +10,16 @@ f up to their own sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .models import g_poly
 from .permutations import (
     Permutation,
     add_generator,
     check_sym_size,
-    dihedral_generators,
     enumerate_sym,
-    generate_subgroup,
     identity,
+    images_sign,
 )
 from .polyring import Poly, _raw, _var_key
 
@@ -110,7 +110,7 @@ def make_group_report(members, m: int) -> GroupReport:
     then compared with the dihedral subgroup <sigma, tau> when m is even.
     A member listed twice is a ValueError: the order counts members.
     """
-    elements = tuple(sorted(members))
+    elements = tuple(sorted(members, key=attrgetter("images")))
     images = {p.images for p in elements}
     if len(images) != len(elements):
         repeat = next(p for p, q in zip(elements, elements[1:]) if p == q)
@@ -121,10 +121,10 @@ def make_group_report(members, m: int) -> GroupReport:
     equals_dihedral: bool | None = None
     witness = None
     if m % 2 == 0 and m >= 2:
-        target = {p.images for p in dihedral_group(m)}
+        target = _dihedral_images(m)
         equals_dihedral = images == target
         if not equals_dihedral:
-            witness = Permutation(min(images.symmetric_difference(target)))
+            witness = Permutation._of(min(images.symmetric_difference(target)))
     return GroupReport(elements, len(elements), equals_dihedral, witness)
 
 
@@ -156,7 +156,7 @@ def _is_member(inv: tuple[int, ...], poly: Poly, skew: bool, signed: bool) -> bo
     image is all of poly: relabeling is injective and both have len(poly)
     terms.  Indices must already be checked against len(inv).
     """
-    flip = signed and Permutation(inv).sign == -1
+    flip = signed and images_sign(inv) == -1
     terms = poly._terms
     for mono, coeff in terms.items():
         image, negate = _relabel(mono, inv, skew)
@@ -287,7 +287,7 @@ def symmetry_group(poly: Poly, m: int, mode: str, signed: bool = False) -> Group
             free[v] = True
 
     extend(0)
-    return make_group_report([Permutation(h) for h in sorted(group)], m)
+    return make_group_report([Permutation._of(h) for h in group], m)
 
 
 def pfaffian_symmetry_group(
@@ -353,10 +353,11 @@ def _cut_search(m: int, signed: bool) -> set[Permutation]:
             alpha, order = stack.pop()
             k = len(alpha)
             if k == m:
-                p = Permutation([i + 1 for i in order])
-                t = p.sign * (-1) ** ((sum(alpha) + n * beta) % 2)
-                if t == (p.sign if signed else 1):
-                    found.add(p)
+                images = tuple([i + 1 for i in order])
+                sign = images_sign(images)
+                t = sign * (-1) ** ((sum(alpha) + n * beta) % 2)
+                if t == (sign if signed else 1):
+                    found.add(Permutation._of(images))
                 continue
             for a in (0, 1):
                 cut = [alpha[i] ^ a ^ beta for i in order]  # E(i, k) along the order
@@ -376,8 +377,26 @@ def sym_of_g(two_n: int) -> GroupReport:
 
 
 def dihedral_group(two_n: int) -> list[Permutation]:
-    """The concrete dihedral subgroup <sigma, tau> of S_{two_n}."""
-    return generate_subgroup(list(dihedral_generators(two_n)))
+    """The concrete dihedral subgroup <sigma, tau> of S_{two_n}, sorted.
+
+    Its rotations and reflections are written down by `_dihedral_images`,
+    with no closure; `generate_subgroup` of `dihedral_generators` is its
+    test oracle.
+    """
+    if two_n < 2 or two_n % 2 != 0:
+        raise ValueError(f"two_n must be even and >= 2, got {two_n}")
+    return [Permutation._of(p) for p in sorted(_dihedral_images(two_n))]
+
+
+def _dihedral_images(m: int) -> set[tuple[int, ...]]:
+    """The images of the rotations and reflections of 1..m.
+
+    sigma^(s-1) is the up-run (s, s+1, ..., m, 1, ..., s-1), and
+    sigma^(s-1) o tau is the down-run (s, s-1, ..., 1, m, ..., s+1), which
+    is the up-run from s+1 read backwards; s runs over 1..m.
+    """
+    rotations = [(*range(s, m + 1), *range(1, s)) for s in range(1, m + 1)]
+    return {*rotations, *(r[::-1] for r in rotations)}
 
 
 __all__ = [

@@ -7,8 +7,9 @@ and requires a FAIL line for every n, after a clean run that passes; the
 the elimination mutants Schur's pfaffian at 2n = 20 and 40, the swap
 mutant of `_pf_fraction_free` the exact direct-sum identity, a kernel
 that places a pair reversed by its order without the sign the relabeling
-oracle, pf(P^T A P) = sgn(P) pf A, in that kernel's domains, and
-`symmetry_group` with corrupted orbits the scan of S_m.
+oracle, pf(P^T A P) = sgn(P) pf A, in that kernel's domains,
+`symmetry_group` with corrupted orbits the scan of S_m, and a cycle count
+that miscounts the sign the inversion count.
 """
 import inspect
 import random
@@ -16,8 +17,9 @@ import random
 import pytest
 
 from pf_oracles import cofactor_det
-from pfsym import cli, pfaffian, symmetry
+from pfsym import cli, permutations, pfaffian, symmetry
 from test_elimination import changed_entries, direct_sum_mismatches, relabel_mismatches, sym_det_mismatches
+from test_permutations import sign_mismatches
 from test_schur import schur_mismatches
 from test_symmetry import group_mismatches
 
@@ -272,3 +274,15 @@ def test_group_scan_fails_on_the_orbit_mutant(monkeypatch):
     mutant = _rewritten(symmetry, symmetry.symmetry_group, "j = h[k] - 1\n", "j = h[k] - 2\n")
     monkeypatch.setattr(symmetry, "symmetry_group", mutant)
     assert group_mismatches(random.Random(17)) != []
+
+
+def test_sign_oracle_fails_on_the_cycle_count_mutant(monkeypatch):
+    # `images_sign` that passes over a fixed point without counting its
+    # cycle: the sign is wrong on every permutation with an odd number of
+    # fixed points, first of all the identity of S_1
+    assert sign_mismatches() == []
+    old = "        if not seen[j]:\n"
+    mutant = _rewritten(permutations, permutations.images_sign, old, "        if not seen[j] and images[j - 1] != j:\n")
+    monkeypatch.setattr(permutations, "images_sign", mutant)
+    bad = sign_mismatches()
+    assert bad[0] == (1,) and (2, 1, 3) in bad and (2, 1) not in bad

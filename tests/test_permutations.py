@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from pf_oracles import inversion_sign
 from pfsym.permutations import (
     NOT_DIHEDRAL,
     ONE_DOWN_RUN,
@@ -58,6 +59,21 @@ def test_sign_examples():
     assert sign(P(2, 1, 3, 4)) == -1
     # (1,4,2,3) has exactly two inversions
     assert sign(P(1, 4, 2, 3)) == 1
+
+
+def sign_mismatches():
+    """The images, over all of S_1 ... S_7, on which `Permutation.sign`
+    differs from the inversion count."""
+    return [
+        images
+        for m in range(1, 8)
+        for images in itertools.permutations(range(1, m + 1))
+        if Permutation(images).sign != inversion_sign(images)
+    ]
+
+
+def test_sign_matches_the_inversion_count_on_s1_to_s7():
+    assert sign_mismatches() == []
 
 
 def test_sign_multiplicative_exhaustive_small():

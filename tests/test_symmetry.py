@@ -193,6 +193,26 @@ def test_group_report_compares_with_d2():
     assert trivial.equals_dihedral is False and trivial.witness == Permutation([2, 1])
 
 
+def test_dihedral_group_equals_the_closure_of_its_generators():
+    for m in range(2, 17, 2):
+        assert dihedral_group(m) == generate_subgroup(list(dihedral_generators(m))), m
+    for m in (0, 5):
+        with pytest.raises(ValueError, match=f"^two_n must be even and >= 2, got {m}$"):
+            dihedral_group(m)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_group_report_witness_is_the_least_difference_from_the_closure(m):
+    # the cyclic group <sigma> lies inside <sigma, tau>; A_m and S_m contain it
+    sigma, tau = dihedral_generators(m)
+    closure = {p.images for p in generate_subgroup([sigma, tau])}
+    sm = list(enumerate_sym(m))
+    for group in (generate_subgroup([sigma]), [p for p in sm if p.sign == 1], sm):
+        report = make_group_report(group, m)
+        assert report.order == len(group) and report.equals_dihedral is False
+        assert report.witness.images == min({p.images for p in group} ^ closure)
+
+
 def _closed_pairwise(images):
     """The definition: every product a o b of two members is a member, O(|G|^2)."""
     return all(tuple(a[v - 1] for v in b) in images for a in images for b in images)
