@@ -21,7 +21,7 @@ is (-1)^(s-1) times the pfaffian of the array relabeled to put s first)
 call it.  A skew determinant is pf^2 (0 at odd size), and a symmetric
 one Bareiss elimination on integers (`_bareiss_det`) for numbers and
 `_expand` of the skew embedding [[0, M], [-M^T, 0]] for rings; `_expand`
-packs Poly entries once per call, at any size.  A float result that
+packs each entry once per call, at any size.  A float result that
 overflows, or a float entry that is +-inf or nan, is a ValueError that
 names it, never +-inf or nan, which JSON cannot hold.  No route
 enumerates matchings; the definitional oracles live with the tests
@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .polyring import Poly, _exact, _packing, gen
+from .polyring import Poly, _add_product, _exact, _packing, gen
 
 SYMMETRIC = "symmetric"
 SKEW = "skew"
@@ -209,29 +209,32 @@ def _domain(entries: Mapping[tuple[int, int], object]):
 def _expand(domain, entries: Mapping[tuple[int, int], object], live: tuple[int, ...]):
     """Pfaffian in `domain` (Poly or another ring) of the skew completion
     of the upper `entries`, relabeled on `live` as in `_pfaffian`, by
-    `_subset_pf`.  Poly entries are packed (`polyring._packing`), so a
-    product of monomials is one integer addition, and the sum is unpacked
-    into a Poly even when it is an int.  A new dict keys each entry by the
-    positions of its labels in `live`, in increasing order, negated where
-    `live` reverses them.  Another ring's sum that met only int entries,
-    such as the int 0 ending a row of int zeros, takes the ring's zero."""
-    if domain is Poly:
-        # a value placed at several positions is one object, scanned and packed once
-        distinct = {id(v): v for v in entries.values()}
-        pack, unpack = _packing(distinct.values(), len(live) // 2)
-        packed = {k: pack(v) for k, v in distinct.items()}
-        entries = {p: packed[id(v)] for p, v in entries.items()}
+    `_subset_pf`.  Each distinct value is packed once (`polyring._packing`):
+    a Poly into its packed monomials, any other scalar into a constant
+    under key 0, a zero into the empty dict.  A new dict keys each packed
+    entry by the positions of its labels in `live`, in increasing order,
+    negated into a new dict where `live` reverses them, as one packed dict
+    serves every position of its value.  The sum is unpacked into a Poly,
+    even when constant, or read as the ring's value; another ring's sum
+    that met only int entries, such as the int 0 of a row of int zeros,
+    takes the ring's zero."""
+    # a value placed at several positions is one object, scanned and packed once
+    distinct = {id(v): v for v in entries.values()}
+    pack, unpack = _packing(distinct.values(), len(live) // 2)
+    packed = {k: pack(v) for k, v in distinct.items()}
     at = {i: u for u, i in enumerate(live)}
     ordered = {}
     for (i, j), v in entries.items():
         u, t = at[i], at[j]
-        ordered[min(u, t), max(u, t)] = v if u < t else -v
+        e = packed[id(v)]
+        ordered[min(u, t), max(u, t)] = e if u < t else {m: -c for m, c in e.items()}
     total = _subset_pf(ordered, tuple(range(len(live))), {})
     if domain is Poly:
         return unpack(total)
-    if domain is object and isinstance(total, int):
-        return next(v for v in entries.values() if not isinstance(v, int)) * 0 + total
-    return total
+    value = total.get(0, 0)
+    if isinstance(value, int):
+        return next(v for v in entries.values() if not isinstance(v, int)) * 0 + value
+    return value
 
 
 def _finite(value, what: str):
@@ -251,7 +254,8 @@ def _refuse_non_finite(entries: Mapping[tuple[int, int], object]) -> None:
 
 
 # Largest 2n that a Poly or other-ring pfaffian or hook expansion takes;
-# generic_pfaffian(14) already takes about 2.4 s and 112 MB (2-core VM).
+# generic_pfaffian(14) already takes about 1.3 s and 111 MB (2-core VM,
+# Python 3.11.7).
 # 16 is not yet a limit derived from the expansion's measured cost.
 # Determinants take no cap.
 EXPAND_CAP = 16
@@ -406,34 +410,28 @@ def generic_pfaffian(two_n: int) -> Poly:
     return pfaffian_direct(TriangularArray.from_function(two_n, SKEW, lambda i, j: Poly.variable(gen(i, j))))
 
 
-def _subset_pf(entries: Mapping[tuple[int, int], object], live: tuple[int, ...], memo: dict):
-    """Pfaffian of the sub-array on the indices `live`, in that order.
+def _subset_pf(entries: Mapping[tuple[int, int], dict], live: tuple[int, ...], memo: dict) -> dict:
+    """Pfaffian, a packed term dict, of the sub-array on the positions
+    `live`, in that order, with `entries` the packed term dicts that
+    `_expand` keys by position pairs u < v.
 
-    Expands along the first live hook: entry (u, v) of the relabeled
-    sub-array, u < v, is entries[(live[u], live[v])], so a sorted `live`
-    reads only upper entries, valid in every mode.  Zero entries are
-    skipped, and a hook whose entries are all zero gives its last entry, so
-    the result stays in the scalar domain of the entries.  `memo` caches
-    each subset's pfaffian across the calls of one expansion.  The kernel
-    needs only `*`, `+`, unary `-` and truth testing, so `_expand` runs it
-    on packed polynomials, and plain ints mix in.
+    Expands along the first live hook: the products of its nonzero
+    entries with the pfaffians of their minors are added into one new
+    dict by `polyring._add_product`, the sign of partner t folded into the
+    small entry, so an all-zero hook gives the empty dict, the zero of
+    every domain.  `memo` caches each subset's pfaffian across the calls
+    of one expansion; no dict it holds, and no entry, is written into.
     """
     if not live:
-        return 1
+        return {0: 1}
     if live in memo:
         return memo[live]
     i = live[0]
-    total = None
+    total: dict = {}
     for t in range(1, len(live)):
-        e = entries[(i, live[t])]
-        if not e:
-            continue
-        term = e * _subset_pf(entries, live[1:t] + live[t + 1 :], memo)
-        if t % 2 == 0:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        total = e
+        e = entries[i, live[t]]
+        if e:
+            _add_product(total, e, _subset_pf(entries, live[1:t] + live[t + 1 :], memo), t % 2 == 0)
     memo[live] = total
     return total
 

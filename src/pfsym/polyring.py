@@ -18,8 +18,10 @@ as coefficients), and monomials are canonical, so equality is plain dict
 equality.
 
 Every product of two polynomials, a power and the memoized pfaffian
-kernel run on one private packed form (`_packing`, `_Packed`): there a
-monomial is one int holding its exponents in fixed-width fields, and a
+kernel run on one private packed form (`_packing`): a dict from packed
+monomials to coefficients, where a monomial is one int holding its
+exponents in fixed-width fields.  One multiply-accumulate kernel
+(`_add_product`) adds a product of two such dicts into a third, so a
 product of monomials is an integer addition.
 """
 from __future__ import annotations
@@ -202,7 +204,7 @@ class Poly:
                 return Poly.zero()
             return _raw({mono: coeff * c for mono, coeff in self._terms.items()})
         pack, unpack = _packing((self, other), 2)
-        return unpack(pack(self) * pack(other))
+        return unpack(_add_product({}, pack(self), pack(other)))
 
     __rmul__ = __mul__
 
@@ -211,11 +213,11 @@ class Poly:
             raise ValueError(f"exponent must be a nonnegative integer, got {e!r}")
         # one packing whose fields hold every exponent of self ** e
         pack, unpack = _packing((self,), e)
-        out, base = 1, pack(self)
+        out, base = {0: 1}, pack(self)
         while e:
             if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
+                out = _add_product({}, out, base)
+            base = _add_product({}, base, base) if e > 1 else base
             e >>= 1
         return unpack(out)
 
@@ -352,56 +354,30 @@ def _sum_terms(terms: dict, other: dict) -> dict:
     return out
 
 
-class _Packed:
-    """A polynomial whose monomials are packed exponent vectors.
+def _add_product(out: dict, x: dict, y: dict, negate: bool = False) -> dict:
+    """Add x*y, or -x*y when `negate`, into `out` in place, and return `out`.
 
-    The one polynomial product kernel, behind `Poly.__mul__`, `Poly.__pow__`
-    and the memoized pfaffian kernel: a monomial is the sum of
-    e << (width * slot) over its variables, so a product of monomials is
-    one integer addition (Monagan & Pearce, CASC 2007).  The fields never
-    carry, because `_packing` picks the width from a bound on every
-    exponent the caller can reach.  Plain ints and Fractions mix in as
-    constants, under key 0.
+    The one product kernel on packed term dicts, behind `Poly.__mul__`,
+    `Poly.__pow__` and the memoized pfaffian kernel: a dict maps a packed
+    monomial, the sum of e << (width * slot) over its variables, to its
+    nonzero coefficient, so a product of monomials is one integer addition
+    (Monagan & Pearce, CASC 2007).  The fields never carry, because
+    `_packing` picks the width from a bound on every exponent the caller
+    can reach.  The sign goes into the coefficients of x, so pass the
+    smaller factor as x; a term that cancels is deleted from `out`.
     """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, Scalar]):
-        self.terms = terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __neg__(self) -> _Packed:
-        return _Packed({m: -c for m, c in self.terms.items()})
-
-    def __add__(self, other) -> _Packed:
-        if not isinstance(other, _Packed):
-            if not _is_scalar(other):
-                return NotImplemented
-            other = _Packed({0: other} if other else {})
-        return _Packed(_sum_terms(self.terms, other.terms))
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> _Packed:
-        if not isinstance(other, _Packed):
-            if not _is_scalar(other):
-                return NotImplemented
-            return _Packed({m: c * other for m, c in self.terms.items()} if other else {})
-        out: dict[int, Scalar] = {}
-        get = out.get
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 + m2
-                acc = get(m, 0) + c1 * c2
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
-        return _Packed(out)
-
-    __rmul__ = __mul__
+    get = out.get
+    for m1, c1 in x.items():
+        if negate:
+            c1 = -c1
+        for m2, c2 in y.items():
+            m = m1 + m2
+            acc = get(m, 0) + c1 * c2
+            if acc:
+                out[m] = acc
+            else:
+                del out[m]
+    return out
 
 
 def _packing(values: Iterable, factors: int):
@@ -411,10 +387,11 @@ def _packing(values: Iterable, factors: int):
     and the field width is the bit length of the largest exponent such a
     product can reach, `factors` times the largest exponent of any variable
     in `values`.  `Poly.__mul__` takes factors = 2, `Poly.__pow__` the
-    exponent and the pfaffian kernel n.  `pack` turns a Poly into a
-    `_Packed` and leaves plain scalars alone; `unpack` reads the fields
-    back in slot order, which gives canonical monomials without a sort,
-    and returns a Poly with integral coefficients stored as ints.
+    exponent and the pfaffian kernel n.  `pack` turns a Poly into a packed
+    term dict, and any other scalar into a constant under key 0, or into
+    the empty dict when it is zero; `unpack` reads the fields of a term
+    dict back in slot order, which gives canonical monomials without a
+    sort, and returns a Poly with integral coefficients stored as ints.
     """
     pairs = {pair for value in values if isinstance(value, Poly) for mono in value._terms for pair in mono}
     names = sorted({v for v, _ in pairs}, key=_var_key)
@@ -422,16 +399,14 @@ def _packing(values: Iterable, factors: int):
     shift = {v: width * k for k, v in enumerate(names)}
     mask = (1 << width) - 1
 
-    def pack(value):
+    def pack(value) -> dict:
         if not isinstance(value, Poly):
-            return value
-        return _Packed({sum(e << shift[v] for v, e in mono): c for mono, c in value._terms.items()})
+            return {0: value} if value else {}
+        return {sum(e << shift[v] for v, e in mono): c for mono, c in value._terms.items()}
 
-    def unpack(value) -> Poly:
-        if not isinstance(value, _Packed):
-            return Poly.const(value)
+    def unpack(terms: dict) -> Poly:
         out: dict[Monomial, Scalar] = {}
-        for m, c in value.terms.items():
+        for m, c in terms.items():
             mono = []
             for v in names:
                 if not m:

@@ -111,13 +111,14 @@ def make_group_report(members, m: int) -> GroupReport:
     A member listed twice is a ValueError: the order counts members.
     """
     elements = tuple(sorted(members, key=attrgetter("images")))
-    images = {p.images for p in elements}
+    ordered = [p.images for p in elements]
+    images = set(ordered)
     if len(images) != len(elements):
         repeat = next(p for p, q in zip(elements, elements[1:]) if p == q)
         raise ValueError(f"symmetry set repeats {repeat!r}")
     if identity(m).images not in images:
         raise RuntimeError("symmetry set does not contain the identity")
-    _check_closure(images)
+    _check_closure(images, ordered)
     equals_dihedral: bool | None = None
     witness = None
     if m % 2 == 0 and m >= 2:
@@ -128,18 +129,20 @@ def make_group_report(members, m: int) -> GroupReport:
     return GroupReport(elements, len(elements), equals_dihedral, witness)
 
 
-def _check_closure(images: set[tuple[int, ...]]) -> None:
+def _check_closure(images: set[tuple[int, ...]], ordered: list[tuple[int, ...]]) -> None:
     """Raise unless `images`, which holds the identity, is closed under composition.
 
-    Each member not yet reached, in sorted order, becomes a generator, and
-    `add_generator` grows the reached group by the cosets it adds, every
-    new element looked up in `images`.  Without an escape the reached set is
-    the group they span and holds every member, so it equals `images`.
+    `ordered` lists the same images sorted, as the caller already has
+    them.  Each member not yet reached, in that order, becomes a generator,
+    and `add_generator` grows the reached group by the cosets it adds,
+    every new element looked up in `images`.  Without an escape the reached
+    set is the group they span and holds every member, so it equals
+    `images`.
     Each generator at least doubles the reached group: at most log2 |G|.
     """
     reached = {tuple(range(1, len(next(iter(images))) + 1))}
     gens: list[tuple[int, ...]] = []
-    for s in sorted(images):
+    for s in ordered:
         if s not in reached:
             escape = add_generator(reached, gens, s, inside=images)
             if escape is not None:

@@ -57,6 +57,39 @@ def hook_sum(arr, s: int):
     return total
 
 
+def subset_pf(entries, live: tuple, memo: dict):
+    """Pfaffian of the sub-array on the indices `live`, in that order, by
+    expansion along the first live hook with the scalars' own operators.
+
+    Entry (u, v) of the relabeled sub-array, u < v, is
+    entries[(live[u], live[v])], so a sorted `live` reads only upper
+    entries, valid in every mode.  Zero entries are skipped, and a hook
+    whose entries are all zero gives its last entry, so the result stays
+    in the scalar domain of the entries.  `memo` caches each subset's
+    pfaffian across the calls of one expansion.  It needs only `*`, `+`,
+    unary `-` and truth testing, and shares no code with the packed
+    kernel of the package.
+    """
+    if not live:
+        return 1
+    if live in memo:
+        return memo[live]
+    i = live[0]
+    total = None
+    for t in range(1, len(live)):
+        e = entries[(i, live[t])]
+        if not e:
+            continue
+        term = e * subset_pf(entries, live[1:t] + live[t + 1 :], memo)
+        if t % 2 == 0:
+            term = -term
+        total = term if total is None else total + term
+    if total is None:
+        total = e
+    memo[live] = total
+    return total
+
+
 def completed_rows(size: int, mode: str, entries) -> list[list]:
     """The size x size matrix with zero diagonal, completed symmetrically or skewly."""
     flip = -1 if mode == "skew" else 1

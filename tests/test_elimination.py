@@ -201,12 +201,44 @@ def changed_entries(rng):
     return bad
 
 
+def shared_value_mismatches(rng):
+    """The (domain, route) of each hook, of both modes, and each random
+    relabeling whose value is not the matching sum (times sgn(live) for a
+    relabeling), on arrays at 2n = 4 and 6 whose entries are three objects
+    of a domain that `_expand` runs, each placed at many positions:
+    `_expand` packs each object into one dict, read at every one of them,
+    in its sign there."""
+    bad = []
+    for name in ("Poly", "Decimal"):
+        fill = RELABEL_DOMAINS[name][0]
+        for two_n in (4, 6):
+            pool = [fill(rng) for _ in range(3)]
+            values = {p: rng.choice(pool) for p in upper_pairs(two_n)}
+            want = pfaffian_sum(TriangularArray(two_n, SKEW, values))
+            for mode, hook in ((SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)):
+                arr = TriangularArray(two_n, mode, values)
+                for s in range(1, two_n + 1):
+                    if hook(arr, s) != want:
+                        bad.append((name, f"{mode} hook {s}"))
+            for _ in range(3):
+                live = tuple(rng.sample(range(1, two_n + 1), two_n))
+                if pfaffian._pfaffian(values, live, pfaffian._domain(values)) != Permutation(live).sign * want:
+                    bad.append((name, f"relabeled on {live}"))
+    return bad
+
+
 def test_any_order_relabels_by_its_sign():
     # pf(P^T A P) = det P pf A: the contract every relabeling caller relies
     # on, at random orders and not only the hook orders; and no route
     # writes into the caller's entries
     assert relabel_mismatches(random.Random(30)) == []
     assert changed_entries(random.Random(31)) == []
+
+
+def test_a_value_at_many_positions_keeps_the_sign_of_each():
+    # one packed dict per value: a pair that `live` reverses reads it negated,
+    # and every other position of the value still reads it as it is
+    assert shared_value_mismatches(random.Random(32)) == []
 
 
 @pytest.mark.parametrize("fill", [_int, random_fraction], ids=["int", "Fraction"])

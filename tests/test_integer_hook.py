@@ -2,23 +2,24 @@
 
 A Fraction hook expansion runs `_pf_fraction_free`, which places entry
 (i, j) as the int d_i d_j a(i, j), with d_i the lcm of the denominators
-of row i, and divides by the product of the d_i: pf(DAD) = det D pf A.  Every hook
-of both modes, at 2n = 2 to 14, must equal the paper's rule with its
-minors evaluated by `_subset_pf` on the Fraction entries themselves (the
-unscaled route), and the pfaffian by `_pf_eliminate` in Fractions, which
-shares no code with the integer route.  Int arrays keep their int result.
+of row i, and divides by the product of the d_i: pf(DAD) = det D pf A.
+Every hook of both modes, at 2n = 2 to 14, must equal the paper's rule
+with its minors evaluated by `pf_oracles.subset_pf` on the Fraction
+entries themselves (the unscaled route), and the pfaffian by
+`_pf_eliminate` in Fractions, which shares no code with the integer
+route.  Int arrays keep their int result.
 """
 import random
 from fractions import Fraction
 
 import pytest
 
+from pf_oracles import subset_pf
 from pfsym.pfaffian import (
     SKEW,
     SYMMETRIC,
     TriangularArray,
     _pf_eliminate,
-    _subset_pf,
     hook_expand_skew,
     hook_expand_symmetric,
     upper_pairs,
@@ -35,7 +36,7 @@ DENOMINATORS = {"den<=9": (9, 9), "den 6 digits": (10**6, 10**6 - 1)}
 
 def fraction_hooks(arr):
     """Every hook of `arr` by the rule term by term: (-1)^(s+j+1+h) a(s,j)
-    pf(A without s, j), each minor by `_subset_pf` on the Fraction entries,
+    pf(A without s, j), each minor by `subset_pf` on the Fraction entries,
     with one memo for the whole array."""
     two_n, memo = arr.two_n, {}
     hooks = []
@@ -46,7 +47,7 @@ def fraction_hooks(arr):
                 continue
             rest = tuple(k for k in range(1, two_n + 1) if k not in (s, j))
             h = 1 if arr.mode == SKEW and j < s else 0
-            term = arr.lookup(s, j) * _subset_pf(arr.entries, rest, memo)
+            term = arr.lookup(s, j) * subset_pf(arr.entries, rest, memo)
             total += -term if (s + j + 1 + h) % 2 else term
         hooks.append(total)
     return hooks

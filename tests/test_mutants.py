@@ -17,8 +17,15 @@ import random
 import pytest
 
 from pf_oracles import cofactor_det
-from pfsym import cli, permutations, pfaffian, symmetry
-from test_elimination import changed_entries, direct_sum_mismatches, relabel_mismatches, sym_det_mismatches
+from pfsym import cli, permutations, pfaffian, polyring, symmetry
+from test_elimination import (
+    changed_entries,
+    direct_sum_mismatches,
+    relabel_mismatches,
+    shared_value_mismatches,
+    sym_det_mismatches,
+)
+from test_packed_kernel import expansion_mismatches
 from test_permutations import sign_mismatches
 from test_schur import schur_mismatches
 from test_symmetry import group_mismatches
@@ -255,15 +262,37 @@ def test_relabel_oracle_fails_on_its_mutant(monkeypatch, target, domains):
 
 
 def test_entries_check_fails_on_the_in_place_mutant(monkeypatch):
-    # `_expand` writing each value it places back into the dict it was
-    # given negates, in the caller's array, every pair that `live` reverses
-    # wherever the entries were not packed first: every other-ring hook
-    # s > 1 and relabeling, in both modes
+    # `_expand` negating a packed entry in place where `live` reverses its
+    # pair, in place of building the negated dict: the value's dict is
+    # shared by all its positions, so every other one reads the flipped
+    # sign.  The dicts are `_expand`'s own, so the caller's entries stay
+    # as they were; the check on values placed at many positions fails,
+    # in both domains that `_expand` runs
     assert changed_entries(random.Random(31)) == []
-    old = "ordered[min(u, t), max(u, t)] = "
-    new = old + "entries[i, j] = "
+    assert shared_value_mismatches(random.Random(32)) == []
+    old = "{m: -c for m, c in e.items()}"
+    new = "(e.update({m: -c for m, c in e.items()}) or e)"
     monkeypatch.setattr(pfaffian, "_expand", _rewritten(pfaffian, pfaffian._expand, old, new))
-    assert {name for name, _, _ in changed_entries(random.Random(31))} == {"Decimal"}
+    assert changed_entries(random.Random(31)) == []
+    assert {name for name, _ in shared_value_mismatches(random.Random(32))} == {"Poly", "Decimal"}
+
+
+@pytest.mark.parametrize(
+    "old, new, domains",
+    [
+        ("        if negate:\n", "        if False:\n", {"Poly", "Decimal"}),
+        ("            if acc:\n", "            if True:\n", {"Poly"}),
+    ],
+    ids=["negate ignored", "cancelled term kept"],
+)
+def test_expansion_oracle_fails_on_the_product_mutants(monkeypatch, old, new, domains):
+    # `_add_product` in the pfaffian kernel only, so the oracles' own Poly
+    # products stay sound.  A product added with the wrong sign breaks every
+    # domain; a cancelled term kept with coefficient 0 leaves a Poly with a
+    # zero term, while a Decimal zero still equals the oracle's
+    assert expansion_mismatches(random.Random(33)) == []
+    monkeypatch.setattr(pfaffian, "_add_product", _rewritten(polyring, polyring._add_product, old, new))
+    assert {name for name, _, _ in expansion_mismatches(random.Random(33))} == domains
 
 
 def test_group_scan_fails_on_the_orbit_mutant(monkeypatch):

@@ -1,18 +1,21 @@
 """The packed-monomial arithmetic behind every Poly route, against the oracles.
 
 `pfaffian_direct`, both hook expansions and `completed_determinant` run
-Poly arrays through `_subset_pf` on packed exponent vectors, whose field
-width comes from a bound on every exponent.  Each route must equal the
-matching sum or the cofactor expansion on arrays that mix position and
-generator variables, Fraction coefficients, int entries and zero Polys,
-including arrays whose result reaches the bound exactly at a power of two
-and one below it.  No route may multiply a Poly or raise one to a power:
-its products run on `_Packed` values.  The one exception is the square
-pf * pf of a skew determinant at even size, which `Poly.__mul__` packs.
-A determinant, a hook expansion along any s and the pfaffian pack each
-entry once, in the skew mode too.
+Poly and other-ring arrays through `_subset_pf` on packed term dicts,
+whose field width comes from a bound on every exponent, and add each
+product of a hook into one dict by `_add_product`.  Each route must equal
+the matching sum or the cofactor expansion on arrays that mix position
+and generator variables, Fraction coefficients, int entries and zero
+Polys, including arrays whose result reaches the bound exactly at a power
+of two and one below it, on Poly arrays whose hook sums cancel and on
+Decimal arrays with int zeros.  No route may multiply a Poly or raise one
+to a power: its products run on the term dicts.  The one exception is the
+square pf * pf of a skew determinant at even size, which `Poly.__mul__`
+packs.  A determinant, a hook expansion along any s and the pfaffian pack
+each entry once, in the skew mode too.
 """
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -93,6 +96,67 @@ def test_packed_routes_match_the_oracles():
             entries = {p: _entry(rng) for p in upper_pairs(size)}
             entries[(1, 2)] = a(1, 2) * x(3) + Fraction(1, 2)
             _check_determinants(entries, size, (size, trial))
+
+
+# few monomials of low degree, so that the products of a hook share them
+SHARED = (x(1), x(2), x(1) * x(2), x(1) ** 2)
+
+
+def _shared_monomials(rng):
+    """A zero Poly, or a sum of up to three of the SHARED monomials with
+    coefficients +-1 and +-2: the sums of a hook cancel term by term."""
+    return sum((rng.choice((-2, -1, 1, 2)) * m for m in rng.sample(SHARED, rng.randrange(4))), Poly.zero())
+
+
+def _decimal_or_int_zero(rng):
+    return 0 if rng.random() < 0.3 else Decimal(rng.randint(-9, 9)).scaleb(-1)
+
+
+# domain -> (entry fill, a nonzero entry (1, 2) that fixes the domain)
+EXPANSION_DOMAINS = {
+    "Poly": (_shared_monomials, lambda rng: x(1) - rng.randint(1, 2)),
+    "Decimal": (_decimal_or_int_zero, lambda rng: Decimal(rng.randint(1, 9)).scaleb(-1)),
+}
+
+
+def expansion_mismatches(rng):
+    """The (domain, route, size) of each route whose value is not the
+    oracle's, not in the domain or an exception: `pfaffian_direct` and
+    both hook rules at every s against `pfaffian_sum` at 2n = 2..8, and
+    `completed_determinant` of both modes against `cofactor_det` at sizes
+    2..6.  Each size takes three random arrays and, from 2n = 4, one whose
+    last row is int zeros, whose pfaffian is the zero of the domain."""
+    bad = []
+    for name, (fill, anchor) in EXPANSION_DOMAINS.items():
+        domain = type(anchor(rng))
+
+        def check(route, size, evaluate, want):
+            try:
+                got = evaluate()
+            except Exception as exc:  # a broken kernel may leave a value that a later product refuses
+                got = exc
+            if type(got) is not domain or got != want:
+                bad.append((name, route, size))
+
+        for size in range(2, 9):
+            for trial in range(4 if size > 2 else 3):
+                entries = {p: 0 if trial == 3 and size in p else fill(rng) for p in upper_pairs(size)}
+                entries[(1, 2)] = anchor(rng)
+                for mode, hook in ((SYMMETRIC, hook_expand_symmetric), (SKEW, hook_expand_skew)):
+                    if size <= 6:
+                        want = cofactor_det(completed_rows(size, mode, entries))
+                        check(f"{mode} determinant", size, lambda: completed_determinant(size, mode, entries), want)
+                    if size % 2 == 0:
+                        arr = TriangularArray(size, mode, entries)
+                        want = pfaffian_sum(arr)
+                        check(f"{mode} pfaffian_direct", size, lambda: pfaffian_direct(arr), want)
+                        for s in range(1, size + 1):
+                            check(f"{mode} hook {s}", size, lambda: hook(arr, s), want)
+    return bad
+
+
+def test_expansions_whose_sums_cancel_match_the_oracles():
+    assert expansion_mismatches(random.Random(33)) == []
 
 
 def _top_exponent(poly, var):

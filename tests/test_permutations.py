@@ -91,6 +91,16 @@ def test_inverse_examples():
     assert inverse(P(1, 4, 3, 2)) == P(1, 4, 3, 2)
 
 
+def test_a_permutation_maps_its_points_and_orders_by_images():
+    p = P(3, 1, 2)
+    assert [p(k) for k in (1, 2, 3)] == [3, 1, 2]
+    for k in (0, 4):
+        with pytest.raises(IndexError, match=f"^point {k} outside 1..3$"):
+            p(k)
+    # the order of the one-line images, strict
+    assert P(3, 1, 2) < P(3, 2, 1) and not P(3, 2, 1) < P(3, 1, 2) and not p < p
+
+
 def test_inverse_defining_equation_and_involution(rng):
     for _ in range(50):
         m = rng.randint(1, 8)

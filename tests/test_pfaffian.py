@@ -1,11 +1,12 @@
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_array, random_fraction, random_int_array
-from pf_oracles import cofactor_det, completed_rows, pfaffian_sum
+from pf_oracles import cofactor_det, completed_rows, pfaffian_sum, subset_pf
 from pfsym.matchings import matching_count
 from pfsym.pfaffian import (
     PLAIN,
@@ -19,7 +20,6 @@ from pfsym.pfaffian import (
     hook_expand_skew,
     hook_expand_symmetric,
     _bareiss_det,
-    _subset_pf,
     pfaffian_direct,
     upper_pairs,
 )
@@ -321,16 +321,24 @@ def test_pfaffian_routes_skip_zero_entries(rng):
 
 
 def test_a_zero_first_row_gives_the_zero_of_the_domain():
+    # (zero of row 1, fill of the other rows, the domain of the result)
+    cases = (
+        (Poly.zero(), lambda i, j: x(i) * x(j), Poly),
+        (Fraction(0), lambda i, j: Fraction(j), Fraction),
+        (Decimal(0), lambda i, j: Decimal(j).scaleb(-1), Decimal),
+        # int zeros beside Decimals: the ring's zero, not the int 0
+        (0, lambda i, j: Decimal(j).scaleb(-1), Decimal),
+    )
     for two_n in (2, 4, 6):
-        entries = {(i, j): Poly.zero() if i == 1 else x(i) * x(j) for i, j in upper_pairs(two_n)}
-        arr = TriangularArray(two_n, SKEW, entries)
-        got = pfaffian_direct(arr)
-        assert type(got) is Poly and got == Poly.zero()
-        assert type(hook_expand_skew(arr, 1)) is Poly
-        # the kernel itself hands back the zero entry of an all-zero hook
-        assert _subset_pf(entries, tuple(range(1, two_n + 1)), {}) is entries[(1, two_n)]
-    fractions = {p: Fraction(0) if p[0] == 1 else Fraction(p[1]) for p in upper_pairs(4)}
-    assert _subset_pf(fractions, (1, 2, 3, 4), {}) is fractions[(1, 4)]
+        for zero, fill, domain in cases:
+            entries = {(i, j): zero if i == 1 else fill(i, j) for i, j in upper_pairs(two_n)}
+            if two_n == 2 and domain is Decimal:
+                entries[(1, 2)] = Decimal(0)  # row 1 is the whole array: one Decimal keeps the domain
+            symmetric, skew = (TriangularArray(two_n, mode, entries) for mode in (SYMMETRIC, SKEW))
+            for got in (pfaffian_direct(skew), hook_expand_skew(skew, 1), hook_expand_symmetric(symmetric, 1)):
+                assert type(got) is domain and got == 0, (two_n, domain)
+            # the operator-generic oracle hands back the zero entry of an all-zero hook itself
+            assert subset_pf(entries, tuple(range(1, two_n + 1)), {}) is entries[(1, two_n)]
 
 
 def test_poly_routes_give_a_poly_when_every_poly_entry_is_zero():

@@ -28,7 +28,11 @@ def test_zero_and_identity():
     assert p * 1 == p
     assert p * 0 == Poly.zero()
     assert not Poly.zero()
+    assert Poly.zero().is_zero() and not p.is_zero() and not Poly.const(1).is_zero()
     assert Poly.zero().degree() == -1
+    # a scalar on the left of a difference
+    assert 3 - p == Poly.const(3) - p == -(p - 3)
+    assert 0 - p == -p
 
 
 def test_mul_expansion_example():
@@ -55,6 +59,10 @@ def test_gen_index_normalization_enforced():
         gen(2, 2)
     with pytest.raises(ValueError):
         pos(0)
+    # a variable of the wrong length for its family
+    for bad in (("a", 1), ("x", 1, 2), ("y", 1)):
+        with pytest.raises(ValueError, match="not a variable"):
+            Poly({((bad, 1),): 1})
 
 
 def test_substitute_examples():
@@ -420,6 +428,8 @@ def test_kernel_array_refuses_a_float_beside_a_poly_position():
         [{"coeff": 1, "vars": [["x", 1, 1.5]]}],
         [{"coeff": 1, "vars": [["a", 1, True, 1]]}],
         [{"coeff": "1/0", "vars": []}],
+        [{"coeff": 1, "vars": [["x", 1, 2, 1]]}],
+        [{"coeff": 1, "vars": [["y", 1, 2, 1]]}],
     ],
 )
 def test_malformed_polynomial_json_is_a_value_error(obj):

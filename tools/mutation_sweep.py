@@ -4,9 +4,9 @@
     PYTHONPATH=src python3 tools/mutation_sweep.py src/pfsym/MODULE.py -- tests --ignore=tests/test_mutants.py
 
 Run it from the root of a checkout.  Each mutant changes one token inside
-one of the module's top-level functions: it swaps an arithmetic,
-comparison or boolean operator, adds 1 to an int constant, or drops a
-unary minus or `not`.  The mutant is written into a copy of the module's
+one of the module's top-level functions or one method of its classes,
+named `Class.method`: it swaps an arithmetic, comparison or boolean
+operator, adds 1 to an int constant, or drops a unary minus or `not`.  The mutant is written into a copy of the module's
 package in a temporary directory, put first on PYTHONPATH, and pytest -x
 runs the arguments after `--` against it in a fresh process; the mutant
 is killed when they fail or run past TIMEOUT seconds.  It prints each
@@ -51,6 +51,16 @@ def _gaps(node):
     return []
 
 
+def _functions(body, prefix: str = ""):
+    """(name, node) of each function of `body`, and of each method of its
+    classes, nested classes included, as `Class.method`."""
+    for node in body:
+        if isinstance(node, ast.FunctionDef):
+            yield prefix + node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+
+
 def mutants(source: str):
     """Each mutant as (function, line number, old text, new text, mutated source)."""
     lines = source.splitlines(keepends=True)
@@ -62,9 +72,7 @@ def mutants(source: str):
         mutated = lines[: row - 1] + [(line[:start] + new.encode() + line[end:]).decode()] + lines[row:]
         return row, old.strip(" ()"), new.strip(" ()"), "".join(mutated)
 
-    for top in ast.parse(source).body:
-        if not isinstance(top, ast.FunctionDef):
-            continue
+    for name, top in _functions(ast.parse(source).body):
         found = []
         for node in ast.walk(top):
             for left, right in _gaps(node):
@@ -85,7 +93,7 @@ def mutants(source: str):
                 ast.parse(mutated)
             except SyntaxError:
                 continue
-            yield top.name, row, old, new, mutated
+            yield name, row, old, new, mutated
 
 
 def main() -> int:
