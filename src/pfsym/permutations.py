@@ -226,6 +226,12 @@ class RunType:
         return self.kind != NOT_DIHEDRAL
 
 
+# the results without a split, shared: a RunType is frozen
+_ONE_UP_RUN = RunType(ONE_UP_RUN)
+_ONE_DOWN_RUN = RunType(ONE_DOWN_RUN)
+_NOT_DIHEDRAL = RunType(NOT_DIHEDRAL)
+
+
 def classify_runs(p: Permutation) -> RunType:
     """Match p against the four dihedral run shapes.
 
@@ -236,21 +242,27 @@ def classify_runs(p: Permutation) -> RunType:
       * two down-runs: (s, s-1, ..., 1, m, m-1, ..., s+1) for some 1 <= s < m
 
     The one-run shapes win ties (they are the s=1 / s=m degenerations of
-    the two-run shapes).  Anything else is not a dihedral permutation.
+    the two-run shapes; at m = 2 each of the two permutations has both
+    shapes).  Anything else is not a dihedral permutation.  The second
+    image decides which run from s = p(1) can match, s % m + 1 for the
+    up-run and (s - 2) % m + 1 for the down-run, so p is compared with
+    at most those two, and no other tuple is built.
     """
     m = p.size
     if m % 2 != 0:
         raise ValueError(f"run classification needs even size, got {m}")
     im = p.images
-    if im == tuple(range(1, m + 1)):
-        return RunType(ONE_UP_RUN)
-    if im == tuple(range(m, 0, -1)):
-        return RunType(ONE_DOWN_RUN)
-    s = im[0]
-    up = tuple(range(s, m + 1)) + tuple(range(1, s))
-    if im == up:
+    if not im:
+        return _ONE_UP_RUN
+    s, t = im[0], im[1]
+    up = t == s % m + 1 and im == (*range(s, m + 1), *range(1, s))
+    if up and s == 1:
+        return _ONE_UP_RUN
+    down = t == (s - 2) % m + 1 and im == (*range(s, 0, -1), *range(m, s, -1))
+    if down and s == m:
+        return _ONE_DOWN_RUN
+    if up:
         return RunType(TWO_UP_RUNS, split=s)
-    down = tuple(range(s, 0, -1)) + tuple(range(m, s, -1))
-    if im == down:
+    if down:
         return RunType(TWO_DOWN_RUNS, split=s)
-    return RunType(NOT_DIHEDRAL)
+    return _NOT_DIHEDRAL

@@ -183,7 +183,9 @@ def _pair_colours(poly: Poly, m: int, skew: bool, signed: bool) -> list[list[int
     a sum each, kept as an ordered pair, or as an unordered one for SSym.
     On skew generators p can flip single terms, and there is one sum.
     Equal multisets give equal sums: a hash collision can only merge two
-    colours, never split one.
+    colours, never split one.  A monomial with no a(.,.) takes a short
+    path that adds the same hashes, (c, x exponent) at each point and a
+    generator exponent of 0 for each pair, without the per-point dicts.
     """
     tables = ([[0] * m for _ in range(m)], [[0] * m for _ in range(m)])  # coeff > 0, < 0
     for mono, coeff in poly._terms.items():
@@ -199,11 +201,18 @@ def _pair_colours(poly: Poly, m: int, skew: bool, signed: bool) -> list[list[int
                 a_exp.setdefault(i, {})[j] = e
                 a_exp.setdefault(j, {})[i] = e
         c = hash((abs(coeff), degree))
+        w = tables[not skew and coeff < 0]
+        if not a_exp:
+            x_local = [(i, hash((c, e))) for i, e in x_exp.items()]
+            for i, li in x_local:
+                row = w[i]
+                for j, lj in x_local:
+                    row[j] += hash((li, lj, 0))
+            continue
         local = [
             (i, hash((c, x_exp.get(i, 0), *sorted(a_exp.get(i, {}).values()))), a_exp.get(i, {}))
             for i in x_exp.keys() | a_exp.keys()
         ]
-        w = tables[not skew and coeff < 0]
         for i, li, ends in local:
             row = w[i]
             for j, lj, _ in local:
@@ -310,7 +319,9 @@ def pfaffian_symmetry_group(
     Skew generators: the two factors (-1)^{#inverted} cancel and t = sgn p
     for every p, which is pf(P^T A P) = det P pf A.  The group is A_m, or
     S_m when signed, listed by `enumerate_sym` up to its cap SYM_CAP, since
-    the group has m!/2 or m! elements.
+    the group has m!/2 or m! elements.  The cap is checked before anything
+    is built.  A_m is read off `_lex_signs`, the signs of S_m in the order
+    that `enumerate_sym` lists it, without a sign computed per element.
 
     Symmetric generators: t(M) is constant exactly when the parity of
     #inverted pairs is the same on the three matchings of any four points,
@@ -330,10 +341,29 @@ def pfaffian_symmetry_group(
     if two_n < 2 or two_n % 2 != 0:
         raise ValueError(f"two_n must be even and >= 2, got {two_n}")
     if mode == SKEW_GENS:
-        members = [p for p in enumerate_sym(two_n) if signed or p.sign == 1]
+        check_sym_size(two_n)
+        if signed:
+            members = list(enumerate_sym(two_n))
+        else:
+            members = [p for p, s in zip(enumerate_sym(two_n), _lex_signs(two_n)) if s == 1]
     else:
         members = _cut_search(two_n, signed)
     return make_group_report(members, two_n)
+
+
+def _lex_signs(m: int) -> list[int]:
+    """The signs of the permutations of 1..m in lexicographic order.
+
+    That order is the order of the Lehmer codes (d_1, ..., d_m), d_k in
+    0..m-k, read as numbers with d_1 the most significant digit, and the
+    sign is (-1)^(d_1 + ... + d_m).  The list is built from the last digit
+    up: each new leading digit d in 0..k-1 repeats the signs of S_(k-1),
+    negated when d is odd.
+    """
+    signs = [1]
+    for k in range(2, m + 1):
+        signs = [-t if d % 2 else t for d in range(k) for t in signs]
+    return signs
 
 
 def _cut_search(m: int, signed: bool) -> set[Permutation]:

@@ -1,8 +1,10 @@
-"""Definitional oracles for the pfaffian and determinant kernels.
+"""Definitional oracles for the pfaffian and determinant kernels, and for
+the pair colours and run shapes of the symmetry searches.
 
-Each one follows its textbook definition and is generic over the scalar
-domain (ints, Fractions, floats, Poly).  They are exponential, so the
-tests call them only at sizes where that is affordable.
+Each pfaffian or determinant oracle follows its textbook definition and is
+generic over the scalar domain (ints, Fractions, floats, Poly).  They are
+exponential, so the tests call them only at sizes where that is
+affordable.
 """
 from pfsym.matchings import PfaffPermutation, enumerate_pfaff
 from pfsym.pfaffian import TriangularArray
@@ -123,3 +125,67 @@ def schur_pfaffian(xs):
         for xj in xs[i + 1 :]:
             total *= (xi - xj) / (xi + xj)
     return total
+
+
+def pair_colours(poly, m: int, skew: bool, signed: bool) -> list[list[int]]:
+    """The m x m table w of pair colours (0-based points) of poly, by the
+    general path of `symmetry._pair_colours` for every monomial, without
+    its short path for monomials with no a(.,.).
+
+    For each monomial and each ordered pair (i, j) of the points it
+    involves, i = j included, the hash of (|coeff|, total degree, local
+    data at i, local data at j, exponent of a(i,j)) is added to a sum for
+    (i, j); the local data at a point are its x exponent and the sorted
+    exponents of the a(.,.) at it.  A member p maps the monomials of poly
+    onto themselves keeping all of that, so w[q i][q j] = w[i][j] for
+    q = p^{-1}.  On symmetric generators p multiplies every coefficient by
+    the same s (+1, or sgn p for SSym), so positive and negative terms get
+    a sum each, kept as an ordered pair, or as an unordered one for SSym.
+    On skew generators p can flip single terms, and there is one sum.
+    Equal multisets give equal sums: a hash collision can only merge two
+    colours, never split one.
+    """
+    tables = ([[0] * m for _ in range(m)], [[0] * m for _ in range(m)])  # coeff > 0, < 0
+    for mono, coeff in poly._terms.items():
+        x_exp: dict[int, int] = {}
+        a_exp: dict[int, dict[int, int]] = {}  # point -> {other end: exponent}
+        degree = 0
+        for v, e in mono:
+            degree += e
+            if v[0] == "x":
+                x_exp[v[1] - 1] = e
+            else:
+                i, j = v[1] - 1, v[2] - 1
+                a_exp.setdefault(i, {})[j] = e
+                a_exp.setdefault(j, {})[i] = e
+        c = hash((abs(coeff), degree))
+        local = [
+            (i, hash((c, x_exp.get(i, 0), *sorted(a_exp.get(i, {}).values()))), a_exp.get(i, {}))
+            for i in x_exp.keys() | a_exp.keys()
+        ]
+        w = tables[not skew and coeff < 0]
+        for i, li, ends in local:
+            row = w[i]
+            for j, lj, _ in local:
+                row[j] += hash((li, lj, ends.get(j, 0)))
+    pos, neg = tables
+    if skew:
+        return pos
+    if signed:
+        return [[hash((min(a, b), max(a, b))) for a, b in zip(r, s)] for r, s in zip(pos, neg)]
+    return [[hash((a, b)) for a, b in zip(r, s)] for r, s in zip(pos, neg)]
+
+
+def run_shapes(m: int) -> dict:
+    """(kind, split) of every permutation of 1..m (m even) that has one of
+    the four dihedral run shapes, keyed by its images, written from the
+    shapes themselves; a one-run shape, listed first, wins a tie.  Any
+    other permutation is ("not-dihedral", None).  It calls no pfsym route."""
+    shapes = [("one-up-run", None, tuple(range(1, m + 1))), ("one-down-run", None, tuple(range(m, 0, -1)))]
+    # the up-run from s steps +1 from s around the cycle 1..m, the down-run -1
+    shapes += [("two-up-runs", s, tuple((s - 1 + k) % m + 1 for k in range(m))) for s in range(2, m + 1)]
+    shapes += [("two-down-runs", s, tuple((s - 1 - k) % m + 1 for k in range(m))) for s in range(1, m)]
+    table = {}
+    for kind, split, images in shapes:
+        table.setdefault(images, (kind, split))
+    return table

@@ -8,8 +8,11 @@ the elimination mutants Schur's pfaffian at 2n = 20 and 40, the swap
 mutant of `_pf_fraction_free` the exact direct-sum identity, a kernel
 that places a pair reversed by its order without the sign the relabeling
 oracle, pf(P^T A P) = sgn(P) pf A, in that kernel's domains,
-`symmetry_group` with corrupted orbits the scan of S_m, and a cycle count
-that miscounts the sign the inversion count.
+`symmetry_group` with corrupted orbits the scan of S_m, a cycle count
+that miscounts the sign the inversion count, a short path of
+`_pair_colours` that drops the x exponent the one-path colour oracle, and
+lexicographic signs with the digit parity flipped both sign checks of the
+skew A_m listing.
 """
 import inspect
 import random
@@ -28,7 +31,7 @@ from test_elimination import (
 from test_packed_kernel import expansion_mismatches
 from test_permutations import sign_mismatches
 from test_schur import schur_mismatches
-from test_symmetry import group_mismatches
+from test_symmetry import colour_mismatches, group_mismatches, sign_list_mismatches, skew_group_mismatches
 
 
 def _verify(capsys, check: str, n: str):
@@ -315,3 +318,30 @@ def test_sign_oracle_fails_on_the_cycle_count_mutant(monkeypatch):
     monkeypatch.setattr(permutations, "images_sign", mutant)
     bad = sign_mismatches()
     assert bad[0] == (1,) and (2, 1, 3) in bad and (2, 1) not in bad
+
+
+def test_colour_oracle_fails_on_the_short_path_mutant(monkeypatch):
+    # the short path of a monomial with no a(.,.) hashing (c,) in place of
+    # (c, x exponent): a colour that still merges x^1 with x^2 stays
+    # invariant under every member, so only the oracle table sees it
+    assert colour_mismatches(random.Random(34)) == []
+    mutant = _rewritten(symmetry, symmetry._pair_colours, "hash((c, e))", "hash((c,))")
+    monkeypatch.setattr(symmetry, "_pair_colours", mutant)
+    bad = colour_mismatches(random.Random(34))
+
+    def has_a_generator_free_monomial(f):
+        return any(mono and all(v[0] == "x" for v, _ in mono) for mono in f._terms)
+
+    assert bad and all(has_a_generator_free_monomial(f) for *_, f in bad)
+
+
+def test_sign_checks_fail_on_the_digit_parity_mutant(monkeypatch):
+    # an odd digit taken as even and an even one as odd negates the sign
+    # once per digit after the first: every sign at even m, none at odd m.
+    # The unsigned listing is then the odd permutations, so
+    # `make_group_report` refuses it, and the signed one lists all of S_m
+    assert sign_list_mismatches() == [] and skew_group_mismatches() == []
+    mutant = _rewritten(symmetry, symmetry._lex_signs, "if d % 2 else", "if (d + 1) % 2 else")
+    monkeypatch.setattr(symmetry, "_lex_signs", mutant)
+    assert sign_list_mismatches() == [2, 4, 6, 8]
+    assert skew_group_mismatches() == [(m, False) for m in (2, 4, 6, 8)]

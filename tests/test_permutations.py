@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from pf_oracles import inversion_sign
+from pf_oracles import inversion_sign, run_shapes
 from pfsym.permutations import (
     NOT_DIHEDRAL,
     ONE_DOWN_RUN,
@@ -201,6 +201,14 @@ def test_classify_runs_one_run_wins_ties():
     # at m=2 the reversal also matches the two-up shape; report it as one down-run
     assert classify_runs(P(2, 1)).kind == ONE_DOWN_RUN
     assert classify_runs(P(1, 2)).kind == ONE_UP_RUN
+
+
+def test_classify_runs_matches_the_run_shapes_on_s0_to_s8():
+    for m in range(0, 9, 2):
+        shapes = run_shapes(m)
+        for images in itertools.permutations(range(1, m + 1)):
+            r = classify_runs(Permutation(images))
+            assert (r.kind, r.split) == shapes.get(images, ("not-dihedral", None)), images
 
 
 def test_classify_matches_subgroup_membership_exhaustively():

@@ -1,10 +1,12 @@
 import itertools
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from pf_oracles import pair_colours
 from pfsym.backend import classify_pf_action
 from pfsym.models import g_poly
 from pfsym.pfaffian import generic_pfaffian
@@ -15,6 +17,7 @@ from pfsym.permutations import (
     enumerate_sym,
     generate_subgroup,
     identity,
+    images_sign,
 )
 from pfsym.polyring import Poly, a, gen, pos, x
 from pfsym import symmetry
@@ -367,6 +370,54 @@ def test_cut_search_finds_the_dihedral_group_past_the_scan():
         assert signed.elements == even
 
 
+def sign_list_mismatches():
+    """The m in 1..8 for which `_lex_signs(m)` differs from `images_sign`
+    of the rows of itertools.permutations(1..m), in the order it yields them."""
+    return [
+        m for m in range(1, 9)
+        if symmetry._lex_signs(m) != [images_sign(q) for q in itertools.permutations(range(1, m + 1))]
+    ]
+
+
+def skew_group_mismatches():
+    """The (m, signed), m = 2..8 even, for which the skew
+    `pfaffian_symmetry_group` lists other elements than the filter of
+    `enumerate_sym` by each element's sign; a refusal of
+    `make_group_report` counts as a mismatch."""
+    bad = []
+    for m in range(2, 9, 2):
+        for signed in (False, True):
+            want = tuple(p for p in enumerate_sym(m) if signed or p.sign == 1)
+            try:
+                got = symmetry.pfaffian_symmetry_group(m, SKEW_GENS, signed).elements
+            except RuntimeError:
+                got = None
+            if got != want:
+                bad.append((m, signed))
+    return bad
+
+
+def test_lexicographic_signs_match_the_sign_of_each_permutation():
+    assert sign_list_mismatches() == []
+    assert skew_group_mismatches() == []
+
+
+def test_skew_pfaffian_group_checks_the_cap_before_listing():
+    # a sign list built before the cap would hold 10! entries at m = 10
+    # (and 12! at m = 12, which comes second); the refusal allocates
+    # next to nothing
+    for two_n in (10, 12):
+        for signed in (False, True):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"^m={two_n} exceeds the enumeration cap 8$"):
+                    pfaffian_symmetry_group(two_n, SKEW_GENS, signed)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (two_n, signed, peak)
+
+
 def test_pfaffian_symmetry_group_validation():
     for two_n in (0, 3, 9):
         with pytest.raises(ValueError, match="even"):
@@ -463,6 +514,53 @@ def test_pair_colours_are_invariant_under_members(m):
                 for p in _scan(f, m, mode, signed):
                     q = p.inverse().images
                     assert all(w[q[i] - 1][q[j] - 1] == w[i][j] for i in range(m) for j in range(m))
+
+
+# generator-free, generator-only and mixed polynomials: each term takes its
+# variables from the families named by one entry of its polynomial's kind
+TERM_KINDS = (("x",), ("a",), ("x", "a", "xa"))
+COEFFS = (-3, -2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 2, 3)
+
+
+def _colour_cases(rng, m):
+    """Seeded random polynomials in the variables of S_m, four of each
+    kind in TERM_KINDS, with exponents 1..3, coefficients from COEFFS and
+    sometimes a constant term; and pf and g when m is even."""
+    pools = {"x": [x(i) for i in range(1, m + 1)]}
+    pools["a"] = [a(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    for kinds in TERM_KINDS:
+        for _ in range(4):
+            f = Poly.const(rng.randint(-2, 2))
+            for _ in range(rng.randint(1, 5)):
+                term = Poly.const(rng.choice(COEFFS))
+                for family in rng.choice(kinds):
+                    pool = pools[family]
+                    for v in rng.sample(pool, rng.randint(1, min(3, len(pool)))):
+                        term = term * v ** rng.randint(1, 3)
+                f = f + term
+            yield f
+    if m % 2 == 0:
+        yield generic_pfaffian(m)
+        yield g_poly(m)
+
+
+def colour_mismatches(rng):
+    """The (m, skew, signed, poly), m = 2..8, on which `_pair_colours`
+    differs from the one-path oracle `pf_oracles.pair_colours`, int for int."""
+    bad = []
+    for m in range(2, 9):
+        for f in _colour_cases(rng, m):
+            for skew in (False, True):
+                for signed in (False, True):
+                    if symmetry._pair_colours(f, m, skew, signed) != pair_colours(f, m, skew, signed):
+                        bad.append((m, skew, signed, f))
+    return bad
+
+
+def test_pair_colours_equal_the_one_path_oracle():
+    # the short path of a monomial with no a(.,.) adds the same hashes as
+    # the general path, so the tables, and the search trees, are the same
+    assert colour_mismatches(random.Random(34)) == []
 
 
 def test_backtrack_matches_the_scan_at_order_eight():
