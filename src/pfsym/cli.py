@@ -178,7 +178,8 @@ def _run_matchings(ns, rng, tol):
 
 def _run_theorem1(ns, rng, tol):
     """The backtrack of `symmetry_group` (n <= 3) or `_cut_search` (n >= 4)
-    against the closure of <sigma, tau> that `make_group_report` builds.
+    against <sigma, tau>, whose rotations and reflections `make_group_report`
+    writes down with no closure.
     """
     for n in ns:
         two_n = 2 * n
@@ -265,9 +266,9 @@ def _run_theorem4(ns, rng, tol):
 
 
 def _run_g_symmetry(ns, rng, tol):
-    """`sym_of_g`, the backtrack of `symmetry_group` on g, against the closure
-    of <sigma, tau>; and `classify_runs` against membership in that closure
-    over all of S_2n.
+    """`sym_of_g`, the backtrack of `symmetry_group` on g, against <sigma, tau>
+    written down with no closure; and `classify_runs` against membership in
+    that subgroup over all of S_2n.
     """
     for n in ns:
         two_n = 2 * n

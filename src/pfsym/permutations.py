@@ -13,10 +13,11 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 # the one cap on m wherever S_m or a subgroup is listed element by element:
-# listing and certifying all of S_8 takes 0.17-0.25 s by the polynomial
+# listing and certifying all of S_8 takes 0.18-0.22 s by the polynomial
 # action (Sym of a constant, or SSym of the skew generic pfaffian) and
-# 0.09-0.12 s by `pfaffian_symmetry_group` (SSym of the skew pfaffian) on a
-# 2-core VM with Python 3.11.7, and m = 9 has nine times as many elements
+# 0.10-0.12 s by `pfaffian_symmetry_group` (SSym of the skew pfaffian),
+# medians on a shared 2-core VM with Python 3.11.7, and m = 9 has nine
+# times as many elements
 SYM_CAP = 8
 
 
@@ -148,7 +149,7 @@ def dihedral_generators(m: int) -> tuple[Permutation, Permutation]:
     return sigma, tau
 
 
-def add_generator(group: set, gens: list, g: tuple, inside: set | None = None):
+def add_generator(group: set, gens: list, g: tuple, inside: set | None = None) -> list:
     """Grow `group`, the group spanned by `gens`, to the group spanned by gens + [g].
 
     Works on image tuples, and appends g to `gens` unless g is already in
@@ -157,17 +158,19 @@ def add_generator(group: set, gens: list, g: tuple, inside: set | None = None):
     representatives r start with the identity, and r o s, for every
     generator s, opens a new coset when it is not yet reached.  Each
     element is composed once and each representative once per generator.
-    With `inside` given, the first new element a o b outside it stops the
-    walk and (a, b) is returned; else None.
+    Returns the elements added to `group` in the order added, [] when g is
+    already in it.  With `inside` given, a new element a o t outside it is
+    a RuntimeError naming a and t: the certificate of `make_group_report`.
     """
     if g in group:
-        return None
+        return []
     gens.append(g)
     old = list(group)
     # a o s is itemgetter(s - 1)(a); g is not the identity, so len(g) > 1
     # and itemgetter returns a tuple
     steps = [itemgetter(*[v - 1 for v in s]) for s in gens]
     reps = [tuple(range(1, len(g) + 1))]
+    added = []
     for r in reps:
         for step in steps:
             t = step(r)
@@ -177,10 +180,11 @@ def add_generator(group: set, gens: list, g: tuple, inside: set | None = None):
             for h in old:
                 b = by_t(h)
                 if inside is not None and b not in inside:
-                    return h, t
+                    raise RuntimeError(f"symmetry set is not closed: {h} o {t} escapes")
                 group.add(b)
+                added.append(b)
             reps.append(t)
-    return None
+    return added
 
 
 def generate_subgroup(gens: list[Permutation], size: int | None = None) -> list[Permutation]:

@@ -133,21 +133,17 @@ def _check_closure(images: set[tuple[int, ...]], ordered: list[tuple[int, ...]])
     """Raise unless `images`, which holds the identity, is closed under composition.
 
     `ordered` lists the same images sorted, as the caller already has
-    them.  Each member not yet reached, in that order, becomes a generator,
-    and `add_generator` grows the reached group by the cosets it adds,
-    every new element looked up in `images`.  Without an escape the reached
-    set is the group they span and holds every member, so it equals
-    `images`.
+    them.  Each member in that order goes to `add_generator`, which makes
+    it a generator unless the reached group already holds it, grows the
+    reached group by the cosets it adds and raises RuntimeError at the
+    first new element outside `images`.  Without an escape the reached set
+    is the group they span and holds every member, so it equals `images`.
     Each generator at least doubles the reached group: at most log2 |G|.
     """
     reached = {tuple(range(1, len(next(iter(images))) + 1))}
     gens: list[tuple[int, ...]] = []
     for s in ordered:
-        if s not in reached:
-            escape = add_generator(reached, gens, s, inside=images)
-            if escape is not None:
-                a, b = escape
-                raise RuntimeError(f"symmetry set is not closed: {a} o {b} escapes")
+        add_generator(reached, gens, s, inside=images)
 
 
 def _is_member(inv: tuple[int, ...], poly: Poly, skew: bool, signed: bool) -> bool:
@@ -246,14 +242,15 @@ def symmetry_group(poly: Poly, m: int, mode: str, signed: bool = False) -> Group
       images above it for its own orbit.
 
     A leaf already in H is skipped; any other leaf gets the early-exit
-    `_is_member` test, and a member joins the generators of H.
-    The least element of a member's coset is a member and passes both
-    rules, so H holds every member the search has passed, and at the end
-    H is the whole group.  It is closed under inverses, so the q found are
-    also the p.  `make_group_report` certifies the result exactly.  A
-    constant polynomial (zero included) is fixed by everything, so the
-    full S_m comes back: that is the definition doing its job, not an
-    error.
+    `_is_member` test, and a member joins the generators of H.  Each h
+    that `add_generator` adds to H fixes the points before its first moved
+    point k, so h(k) joins the orbit of k.  The least element of a
+    member's coset is a member and passes both rules, so H holds every
+    member the search has passed, and at the end H is the whole group.
+    It is closed under inverses, so the q found are also the p.
+    `make_group_report` certifies the result exactly.  A constant
+    polynomial (zero included) is fixed by everything, so the full S_m
+    comes back: that is the definition doing its job, not an error.
     """
     _check_mode(mode)
     _check_indices(poly, m)
@@ -268,9 +265,7 @@ def symmetry_group(poly: Poly, m: int, mode: str, signed: bool = False) -> Group
     def leaf(q: tuple[int, ...]) -> None:
         if q in group or not _is_member(q, poly, skew, signed):
             return
-        old = set(group)
-        add_generator(group, gens, q)
-        for h in group - old:
+        for h in add_generator(group, gens, q):
             k = next(i for i in range(m) if h[i] != i + 1)  # h fixes 0..k-1
             j = h[k] - 1
             if j not in orbit[k]:

@@ -116,6 +116,25 @@ def test_malformed_file_diagnostics(tmp_path):
     assert "'2,1'" in err
 
 
+def test_eval_of_the_empty_array_is_one(tmp_path, capsys):
+    # 2n = 0 is a valid size: the empty matching gives pf = 1
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"two_n": 0, "mode": "skew", "entries": {}}))
+    assert run(["eval", str(path)]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+@pytest.mark.parametrize("key", ["1,1", "2,1"])
+def test_eval_refuses_a_key_off_the_upper_triangle(tmp_path, capsys, key):
+    # the triangle is strict: a diagonal key is refused like a lower one
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps({"two_n": 2, "mode": "skew", "entries": {"1,2": "1", key: "3"}}))
+    assert run(["eval", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: entry key '{key}' outside the upper triangle of size 2\n"
+
+
 def test_sym_builtin_pfaffian(capsys):
     assert run(["sym", "--pfaffian", "4", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)

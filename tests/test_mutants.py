@@ -8,11 +8,12 @@ the elimination mutants Schur's pfaffian at 2n = 20 and 40, the swap
 mutant of `_pf_fraction_free` the exact direct-sum identity, a kernel
 that places a pair reversed by its order without the sign the relabeling
 oracle, pf(P^T A P) = sgn(P) pf A, in that kernel's domains,
-`symmetry_group` with corrupted orbits the scan of S_m, a cycle count
-that miscounts the sign the inversion count, a short path of
-`_pair_colours` that drops the x exponent the one-path colour oracle, and
-lexicographic signs with the digit parity flipped both sign checks of the
-skew A_m listing.
+`symmetry_group` with corrupted orbits the scan of S_m, a search that
+files orbits from only the first new element of its group the pinned
+membership-test counts, a cycle count that miscounts the sign the
+inversion count, a short path of `_pair_colours` that drops the x
+exponent the one-path colour oracle, and lexicographic signs with the
+digit parity flipped both sign checks of the skew A_m listing.
 """
 import inspect
 import random
@@ -31,7 +32,14 @@ from test_elimination import (
 from test_packed_kernel import expansion_mismatches
 from test_permutations import sign_mismatches
 from test_schur import schur_mismatches
-from test_symmetry import colour_mismatches, group_mismatches, sign_list_mismatches, skew_group_mismatches
+from test_symmetry import (
+    WORK_PINS,
+    colour_mismatches,
+    group_mismatches,
+    membership_test_counts,
+    sign_list_mismatches,
+    skew_group_mismatches,
+)
 
 
 def _verify(capsys, check: str, n: str):
@@ -306,6 +314,20 @@ def test_group_scan_fails_on_the_orbit_mutant(monkeypatch):
     mutant = _rewritten(symmetry, symmetry.symmetry_group, "j = h[k] - 1\n", "j = h[k] - 2\n")
     monkeypatch.setattr(symmetry, "symmetry_group", mutant)
     assert group_mismatches(random.Random(17)) != []
+
+
+def test_work_pin_fails_on_the_first_element_mutant(monkeypatch):
+    # a leaf that files the orbit of only the first element that
+    # `add_generator` adds keeps every group right, so the scan passes,
+    # but prunes fewer cosets and tests more leaves
+    pins = [pin[-1] for pin in WORK_PINS]
+    assert membership_test_counts() == pins
+    old = "in add_generator(group, gens, q):"
+    mutant = _rewritten(symmetry, symmetry.symmetry_group, old, "in add_generator(group, gens, q)[:1]:")
+    monkeypatch.setattr(symmetry, "symmetry_group", mutant)
+    assert group_mismatches(random.Random(1)) == []
+    counts = membership_test_counts()
+    assert counts != pins and all(c >= p for c, p in zip(counts, pins)), counts
 
 
 def test_sign_oracle_fails_on_the_cycle_count_mutant(monkeypatch):

@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 
 import pytest
 
@@ -160,21 +162,40 @@ def test_generate_subgroup_transposition_and_cycle_give_s6():
 
 
 def test_add_generator_checks_every_new_element():
-    # S_4 without any one element x: adding the least members not yet reached
-    # as generators must meet a product outside the set, wherever x lies in
-    # its coset
+    # S_4 without any one element x: adding the members in sorted order as
+    # generators must meet a product outside the set, wherever x lies in
+    # its coset, and the refusal names a and b with a o b = x
     s4 = {p.images for p in enumerate_sym(4)}
     for x in sorted(s4 - {identity(4).images}):
         inside = s4 - {x}
-        group, gens, escape = {identity(4).images}, [], None
-        for g in sorted(inside):
-            if g not in group:
-                escape = add_generator(group, gens, g, inside=inside)
-                if escape is not None:
-                    break
-        assert escape is not None, x
-        a, b = escape
-        assert compose(Permutation(a), Permutation(b)).images == x
+        group, gens = {identity(4).images}, []
+        with pytest.raises(RuntimeError) as refusal:
+            for g in sorted(inside):
+                add_generator(group, gens, g, inside=inside)
+        named = re.fullmatch(r"symmetry set is not closed: (\(.*\)) o (\(.*\)) escapes", str(refusal.value))
+        a, b = (Permutation(map(int, t.strip("()").split(", "))) for t in named.groups())
+        assert compose(a, b).images == x
+
+
+def test_add_generator_returns_what_it_adds():
+    # on generator lists drawn from S_5 and S_6, with and without a closed
+    # `inside`, the returned list is the growth of the group, each element
+    # once, and a member already reached adds nothing
+    rng = random.Random(35)
+    for m in (5, 6):
+        every = [p.images for p in enumerate_sym(m)]
+        for _ in range(30):
+            group, gens = {identity(m).images}, []
+            inside = set(every) if rng.random() < 0.5 else None
+            for g in rng.sample(every, rng.randint(1, 4)):
+                before, spanning = set(group), list(gens)
+                added = add_generator(group, gens, g, inside=inside)
+                assert len(added) == len(set(added)) and set(added) == group - before, (spanning, g)
+                spanning += [g] if added else []
+                assert gens == spanning
+                reached = set(group)
+                assert add_generator(group, gens, rng.choice(sorted(group)), inside=inside) == []
+                assert group == reached and gens == spanning
 
 
 def test_dihedral_subgroup_orders():

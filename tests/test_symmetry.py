@@ -660,3 +660,40 @@ def test_symmetry_group_matches_the_scan_on_random_symmetrized_polynomials():
     assert group_mismatches(random.Random(17)) == []
     f = 4 * x(2) ** 2 * x(5) ** 4 + 4 * x(2) ** 4 * x(4) ** 2 + 4 * x(4) ** 4 * x(5) ** 2
     assert symmetry_group(f, 5, SYMMETRIC_GENS).order == 6
+
+
+# (poly, m, mode, signed, membership tests of the search): weaker coset
+# pruning tests more leaves and still finds the same group, so only these
+# counts see it
+WORK_PINS = (
+    (act(Permutation([3, 1, 5, 2, 6, 4]), g_poly(6), SYMMETRIC_GENS), 6, SYMMETRIC_GENS, False, 3),
+    (generic_pfaffian(6), 6, SYMMETRIC_GENS, False, 15),
+    (generic_pfaffian(6), 6, SYMMETRIC_GENS, True, 19),
+    (generic_pfaffian(6), 6, SKEW_GENS, False, 9),
+    (Poly.const(1), 6, SYMMETRIC_GENS, False, 5),
+)
+
+
+def membership_test_counts():
+    """The `_is_member` calls of `symmetry.symmetry_group`, as bound now,
+    on each WORK_PINS case."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _is_member(*args)
+
+    counts = []
+    with pytest.MonkeyPatch.context() as patch:
+        # a search rebuilt from its source looks `_is_member` up in its own namespace
+        patch.setitem(symmetry.symmetry_group.__globals__, "_is_member", counted)
+        for poly, m, mode, signed, _ in WORK_PINS:
+            calls = 0
+            symmetry.symmetry_group(poly, m, mode, signed)
+            counts.append(calls)
+    return counts
+
+
+def test_backtrack_work_is_pinned():
+    assert membership_test_counts() == [pin[-1] for pin in WORK_PINS]
